@@ -4,7 +4,7 @@
 //! pipeline. The event lifecycle fenestrad instruments with these:
 //!
 //! ```text
-//! socket read → parse/route/enqueue  (admit_us, server-wide)
+//! socket read → stage/route/enqueue  (admit_us, server-wide)
 //!             → ingest-queue wait    (queue_wait_us, per shard)
 //!             → reorder-buffer dwell (reorder_dwell_us, per shard)
 //!             → WAL append           (wal_append_us, per shard)

@@ -405,8 +405,11 @@ impl PlanObs {
 /// histogram plus one [`ShardObs`] per shard.
 #[derive(Debug)]
 pub struct PipelineObs {
-    /// Time to parse, route, and enqueue one ingest frame on the
-    /// connection thread (µs) — the "front door" before queue wait.
+    /// Admission (µs), one sample per flush of a connection's staged
+    /// ingest frames: from the first frame staged to the last part
+    /// handed to a shard queue, waits on a full queue included — the
+    /// "front door" before queue wait. Parsing and decoding happen
+    /// before staging and are not included.
     pub admit_us: Histogram,
     /// Binary plane: time to CRC-check and decode one frame out of a
     /// connection's read buffer into events (µs), one sample per

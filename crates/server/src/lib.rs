@@ -25,24 +25,30 @@
 //!
 //! ## Architecture
 //!
-//! N **shard threads** (one per [`ServerConfig::shards`], default 1)
-//! each own one [`fenestra_core::Engine`] partition and consume their
-//! own bounded MPSC command queue. Events route to exactly one shard
-//! by a deterministic hash of their **entity key** — the event field
-//! the stream's rules name entities by (see
+//! N **shard threads** (one per [`ServerConfig::shards`]: 1 by default
+//! in the library, one per core up to 8 in `fenestrad`) each own one
+//! [`fenestra_core::Engine`] partition and consume their own bounded
+//! MPSC command queue. Events route to exactly one shard by a
+//! deterministic hash of their **entity key** — the event field the
+//! stream's rules name entities by (see
 //! [`fenestra_core::ShardRouter`]); rules whose matches could span
 //! entities (fixed `@entity` targets, computed keys, pattern triggers)
-//! are rejected at startup when `shards > 1`. Connection threads
-//! translate socket lines into commands, splitting batch frames by
-//! route; replies travel back over per-request channels, and watch
-//! deltas over a per-connection outbound channel drained by a
-//! dedicated writer thread. Queries and watches fan out to every shard
-//! (selects merge rows, `count` and `limit` apply globally after the
-//! merge). `stats` is served **lock-light** on the connection thread
-//! from per-shard atomics ([`fenestra_obs::ShardObs`]) that the shard
-//! loops, engines, and WAL writers publish into — engine counters
-//! merged across shards, per-shard gauges (queue depth/HWM, reorder
-//! depth, watermark lag, held acks, WAL segment bytes, open facts),
+//! are rejected at startup when `shards > 1`. An epoll reactor pool
+//! accepts every socket; binary-plane connections stay on it, JSONL
+//! connections get a reader thread (socket lines → commands) and a
+//! writer thread (outbound channel → socket). Both planes admit ingest
+//! through one path (`src/admit.rs`): frames are split by route into a
+//! per-connection stage, and each flush hands every touched shard one
+//! command, applies the backpressure policy, and counts the admission.
+//! Query replies travel back over per-request channels, and watch
+//! deltas over the connection's outbound channel. Queries and watches
+//! fan out to every shard (selects merge rows, `count` and `limit`
+//! apply globally after the merge). `stats` is served **lock-light**
+//! on the connection thread from per-shard atomics
+//! ([`fenestra_obs::ShardObs`]) that the shard loops, engines, and WAL
+//! writers publish into — engine counters merged across shards,
+//! per-shard gauges (queue depth/HWM, reorder depth, watermark lag,
+//! held acks, WAL segment bytes, open facts),
 //! and per-stage latency histograms for the whole event lifecycle
 //! (admission → queue wait → reorder dwell → WAL append → fsync → ack
 //! hold, plus a late-margin histogram over dropped events).
@@ -179,6 +185,7 @@
 //! declare attributes and rules; entity-allocating setups would skew
 //! entity-id alignment against the shipped stream.
 
+pub(crate) mod admit;
 pub mod config;
 pub mod metrics;
 pub mod prom;

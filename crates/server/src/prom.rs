@@ -31,7 +31,7 @@ pub fn render_prometheus(metrics: &ServerMetrics, obs: &PipelineObs, plans: &Cac
     histogram(
         &mut out,
         "fenestra_stage_admit_us",
-        "Time to parse, route, and enqueue one ingest frame on the connection thread (microseconds)",
+        "Time from staging the first ingest frame of a flush to handing its last part to a shard queue (microseconds)",
         &[(None, obs.admit_us.snapshot())],
     );
     histogram(

@@ -28,24 +28,24 @@
 //!
 //! # Invariants
 //!
-//! The reactor threads never block: socket IO is nonblocking, shard
-//! hand-off uses `try_send` (a full queue under
-//! [`Backpressure::Block`] *parks* the remaining parts on the
-//! connection and retries on a short tick, with read interest dropped
-//! so the client is backpressured through TCP), and the sync barrier
-//! is awaited on an ephemeral helper thread. Ack ordering rules are
-//! identical to the JSONL plane: held acks release in per-connection
-//! FIFO order via the shared [`AckTable`](crate::server); a frame is
-//! never half-shed.
+//! The reactor threads never block: socket IO is nonblocking, and the
+//! sync barrier is awaited on an ephemeral helper thread. Ingest goes
+//! through the same admission path as the JSONL plane
+//! ([`crate::admit`]): under [`Backpressure::Block`] every frame of one
+//! socket drain is staged and flushed as one part per touched shard;
+//! under `Shed` each frame flushes alone. A full queue *parks* the
+//! unsent parts on the connection's stage; they retry on a short tick,
+//! with read interest dropped so the client is backpressured through
+//! TCP. Held acks release in per-connection FIFO order via the shared
+//! [`AckTable`](crate::admit::AckTable); a frame is never half-shed.
 
+use crate::admit::{AckSink, Flush, FrameId, Replies, Stage};
 use crate::config::Backpressure;
-use crate::server::{AckPart, AckSink, ConnCtx, FrameAck, ShardCmd};
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use crate::server::{fan_out, ConnCtx, ShardCmd};
+use crossbeam::channel::{self, Receiver, Sender};
 use fenestra_base::error::{Error, Result};
-use fenestra_base::record::Event;
-use fenestra_base::time::Timestamp;
 use fenestra_wire::binary::{self, Frame, FrameStatus, HEADER_LEN, MAGIC};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
@@ -318,64 +318,6 @@ enum Plane {
     Binary,
 }
 
-/// One or more ingest frames whose shard hand-off hit a full queue:
-/// the unsent parts wait here and retry on the reactor's short tick,
-/// with the connection's read interest dropped so no later frame can
-/// overtake. Completion bookkeeping mirrors [`Stage`].
-struct Parked {
-    cmds: VecDeque<(usize, ShardCmd)>,
-    /// Total events across the parked frames.
-    events: u64,
-    /// Immediate (non-durable) acks to emit on completion, in frame
-    /// order.
-    pending: Vec<(u64, u64)>,
-    /// How many durable frames the parked hand-off carries.
-    deferred: u64,
-    /// Sequence of the last parked frame (for shutdown errors).
-    last_seq: u64,
-    t_admit: Instant,
-}
-
-/// Per-shard staging for one `process_buffer` pass: every `Batch`
-/// frame decoded from the read buffer routes into `parts`, and the
-/// whole stage flushes as ONE `ShardCmd` per touched shard — at a
-/// barrier (a `Sync` frame) or at the end of the pass. Compared to a
-/// send per (frame, shard), the shards see the same events arrive in
-/// far fewer, far larger parts, so a group commit covers more events
-/// at the same queue depth — which is what keeps the fsync count down
-/// when the reactor is outnumbered by shard threads. Per-frame ack
-/// identity survives coalescing: each frame still registers its own
-/// [`FrameAck`] and contributes one [`AckPart`] per shard it touched.
-struct Stage {
-    parts: Vec<Vec<Event>>,
-    acks: Vec<Vec<AckPart>>,
-    pending: Vec<(u64, u64)>,
-    deferred: u64,
-    events: u64,
-    last_seq: u64,
-    /// When the first frame of the pass was decoded (the `admit_us`
-    /// stage spans staging + flush).
-    t_first: Option<Instant>,
-}
-
-impl Stage {
-    fn new(shards: usize) -> Stage {
-        Stage {
-            parts: vec![Vec::new(); shards],
-            acks: (0..shards).map(|_| Vec::new()).collect(),
-            pending: Vec::new(),
-            deferred: 0,
-            events: 0,
-            last_seq: 0,
-            t_first: None,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.events == 0 && self.deferred == 0 && self.pending.is_empty()
-    }
-}
-
 /// One reactor-owned connection.
 struct Conn {
     stream: TcpStream,
@@ -389,7 +331,11 @@ struct Conn {
     /// plane's `seq`): the ack for a batch carries the sequence
     /// number of its last event.
     seq: u64,
-    parked: Option<Parked>,
+    /// This connection's admission stage; parked while a flush waits
+    /// on a full shard queue.
+    stage: Stage,
+    /// Where held acks and sync replies for this connection go.
+    out: OutHandle,
     /// Read returned EOF; the connection lingers until its write
     /// buffer and held acks drain.
     peer_closed: bool,
@@ -402,7 +348,7 @@ struct Conn {
 
 impl Conn {
     fn wants_read(&self) -> bool {
-        !self.peer_closed && !self.closing && self.parked.is_none()
+        !self.peer_closed && !self.closing && !self.stage.is_parked()
     }
 }
 
@@ -436,7 +382,7 @@ enum After {
 fn run(mut r: Reactor) {
     let mut evbuf = vec![sys::EpollEvent { events: 0, data: 0 }; 128];
     loop {
-        let any_parked = r.conns.values().any(|c| c.parked.is_some());
+        let any_parked = r.conns.values().any(|c| c.stage.is_parked());
         // Parked frames retry on a 1ms tick; otherwise the 200ms tick
         // only backstops a lost wakeup.
         let timeout = if any_parked { 1 } else { 200 };
@@ -509,7 +455,12 @@ fn register_conn(r: &mut Reactor, stream: TcpStream, token: u64) {
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             seq: 0,
-            parked: None,
+            stage: Stage::new(r.ctx.shard_txs.len()),
+            out: OutHandle {
+                tx: r.out_tx.clone(),
+                wake: r.wake.clone(),
+                token,
+            },
             peer_closed: false,
             closing: false,
             armed,
@@ -561,8 +512,6 @@ fn conn_ready(r: &mut Reactor, token: u64, bits: u32) {
 fn read_ready(r: &mut Reactor, token: u64) -> After {
     let t0 = Instant::now();
     let ctx = r.ctx.clone();
-    let out_tx = r.out_tx.clone();
-    let wake = r.wake.clone();
     let Some(conn) = r.conns.get_mut(&token) else {
         return After::Keep;
     };
@@ -595,8 +544,8 @@ fn read_ready(r: &mut Reactor, token: u64) -> After {
             }
         };
         ctx.metrics.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-        after = process_buffer(&ctx, &out_tx, &wake, conn);
-        if !matches!(after, After::Keep) || conn.parked.is_some() || conn.peer_closed {
+        after = process_buffer(&ctx, conn);
+        if !matches!(after, After::Keep) || conn.stage.is_parked() || conn.peer_closed {
             break;
         }
     }
@@ -613,12 +562,7 @@ fn read_ready(r: &mut Reactor, token: u64) -> After {
 }
 
 /// Classify and/or decode whatever `rbuf` holds right now.
-fn process_buffer(
-    ctx: &Arc<ConnCtx>,
-    out_tx: &Sender<(u64, Vec<u8>)>,
-    wake: &Arc<WakeFd>,
-    conn: &mut Conn,
-) -> After {
+fn process_buffer(ctx: &Arc<ConnCtx>, conn: &mut Conn) -> After {
     if matches!(conn.plane, Plane::Detect) {
         let k = conn.rbuf.len().min(MAGIC.len());
         if conn.rbuf[..k] != MAGIC[..k] {
@@ -631,10 +575,19 @@ fn process_buffer(
         ctx.metrics.conns_binary.fetch_add(1, Ordering::Relaxed);
         conn.rbuf.drain(..MAGIC.len());
     }
-    let mut stage = Stage::new(ctx.shard_txs.len());
+    let Conn {
+        rbuf,
+        wbuf,
+        seq,
+        stage,
+        out: lane,
+        token,
+        ..
+    } = conn;
+    let mut out = BinReplies { wbuf, lane };
     let mut consumed = 0;
     let mut after = loop {
-        let buf = &conn.rbuf[consumed..];
+        let buf = &rbuf[consumed..];
         if buf.is_empty() {
             break After::Keep;
         }
@@ -647,16 +600,22 @@ fn process_buffer(
                 match frame {
                     Ok(Frame::Batch { events, .. }) => {
                         consumed += end;
+                        let count = events.len() as u64;
+                        *seq += count;
+                        let id = FrameId {
+                            seq: *seq,
+                            count,
+                            single: false,
+                        };
+                        stage.push(ctx, *token, id, events, &out);
+                        // Block coalesces the whole drain into one
+                        // flush; Shed decides each frame alone.
                         if ctx.backpressure == Backpressure::Shed {
-                            // Shed is all-or-nothing per frame, so shed
-                            // frames skip the stage and admit alone.
-                            match admit(ctx, out_tx, wake, conn, events) {
-                                Admit::Done => {}
-                                Admit::Parked => break After::Keep,
-                                Admit::Down => break After::Close,
+                            match stage.flush(ctx, &mut out) {
+                                Flush::Done => {}
+                                Flush::Parked => break After::Keep,
+                                Flush::Down => break After::Close,
                             }
-                        } else {
-                            stage_frame(ctx, out_tx, wake, conn, &mut stage, events);
                         }
                     }
                     Ok(Frame::Sync) => {
@@ -665,23 +624,18 @@ fn process_buffer(
                         // could overtake them. A parked flush leaves
                         // the sync frame unconsumed; the retry tick
                         // re-decodes it once the parts are through.
-                        match flush_stage(ctx, conn, &mut stage) {
-                            Admit::Done => {}
-                            Admit::Parked => break After::Keep,
-                            Admit::Down => break After::Close,
+                        match stage.flush(ctx, &mut out) {
+                            Flush::Done => {}
+                            Flush::Parked => break After::Keep,
+                            Flush::Down => break After::Close,
                         }
                         consumed += end;
-                        let out = OutHandle {
-                            tx: out_tx.clone(),
-                            wake: wake.clone(),
-                            token: conn.token,
-                        };
-                        spawn_sync(ctx.clone(), out);
+                        spawn_sync(ctx.clone(), out.lane.clone());
                     }
                     Ok(_) => {
                         // Ack / Err / Synced are server → client only.
                         consumed += end;
-                        conn.wbuf.extend_from_slice(&binary::encode_err(
+                        out.wbuf.extend_from_slice(&binary::encode_err(
                             0,
                             "client sent a server-only frame kind",
                         ));
@@ -690,7 +644,7 @@ fn process_buffer(
                         // The frame was CRC-valid, so framing holds:
                         // report and keep serving the connection.
                         consumed += end;
-                        conn.wbuf
+                        out.wbuf
                             .extend_from_slice(&binary::encode_err(0, &e.to_string()));
                     }
                 }
@@ -698,327 +652,51 @@ fn process_buffer(
             Err(e) => {
                 // Oversize or CRC mismatch: the byte stream can no
                 // longer be trusted to re-synchronize.
-                conn.wbuf
+                out.wbuf
                     .extend_from_slice(&binary::encode_err(0, &e.to_string()));
                 break After::Close;
             }
         }
     };
-    conn.rbuf.drain(..consumed);
+    rbuf.drain(..consumed);
     // Frames staged before a break (clean end of buffer OR a later
     // poison frame — they themselves were valid) still go out.
-    match flush_stage(ctx, conn, &mut stage) {
-        Admit::Done | Admit::Parked => {}
-        Admit::Down => after = After::Close,
+    if stage.flush(ctx, &mut out) == Flush::Down {
+        after = After::Close;
     }
     after
 }
 
-/// Route one decoded batch into the pass's stage. Never blocks and
-/// never fails: shard hand-off happens at [`flush_stage`]. Durable
-/// frames register with the ack table here, in decode order, so held
-/// acks keep their per-connection FIFO guarantee across coalescing.
-fn stage_frame(
-    ctx: &Arc<ConnCtx>,
-    out_tx: &Sender<(u64, Vec<u8>)>,
-    wake: &Arc<WakeFd>,
-    conn: &mut Conn,
-    stage: &mut Stage,
-    events: Vec<Event>,
-) {
-    let now = Instant::now();
-    stage.t_first.get_or_insert(now);
-    let count = events.len() as u64;
-    conn.seq += count;
-    let seq = conn.seq;
-    stage.last_seq = seq;
-    stage.events += count;
-    let shards = ctx.shard_txs.len();
-    // This frame's max event timestamp per shard — the ack-part
-    // watermark each shard must pass before voting the frame covered.
-    let mut frame_max: Vec<Option<Timestamp>> = vec![None; shards];
-    for ev in events {
-        let i = if shards == 1 {
-            0
-        } else {
-            ctx.router.route(&ev) as usize
-        };
-        frame_max[i] = Some(match frame_max[i] {
-            Some(m) => m.max(ev.ts),
-            None => ev.ts,
-        });
-        stage.parts[i].push(ev);
-    }
-    if ctx.durable_acks {
-        let targets = frame_max.iter().filter(|m| m.is_some()).count();
-        let f = Arc::new(FrameAck::new(
-            conn.token,
-            AckSink::Bin {
-                out: OutHandle {
-                    tx: out_tx.clone(),
-                    wake: wake.clone(),
-                    token: conn.token,
-                },
-                seq,
-                count,
-            },
-            targets,
-        ));
-        // An empty frame registers with zero parts and completes
-        // immediately — but still queues behind earlier frames' acks.
-        ctx.ack_table.register(f.clone());
-        stage.deferred += 1;
-        for (i, max_ts) in frame_max.into_iter().enumerate() {
-            if max_ts.is_some() {
-                stage.acks[i].push(AckPart {
-                    frame: f.clone(),
-                    max_ts,
-                    admitted: now,
-                });
-            }
-        }
-    } else {
-        stage.pending.push((seq, count));
-    }
+/// Binary replies: immediate ones straight into the connection's write
+/// buffer, held ones through its reactor's outbound lane.
+struct BinReplies<'a> {
+    wbuf: &'a mut Vec<u8>,
+    lane: &'a OutHandle,
 }
 
-/// Hand the stage to the shards: one `try_send` per touched shard. On
-/// a full queue the unsent tail parks (Block semantics without
-/// blocking the loop) and the stage resets either way.
-fn flush_stage(ctx: &Arc<ConnCtx>, conn: &mut Conn, stage: &mut Stage) -> Admit {
-    if stage.is_empty() {
-        return Admit::Done;
-    }
-    let t_admit = stage.t_first.take().unwrap_or_else(Instant::now);
-    let enqueued = Instant::now();
-    let mut cmds: VecDeque<(usize, ShardCmd)> = VecDeque::new();
-    for i in 0..stage.parts.len() {
-        if stage.parts[i].is_empty() && stage.acks[i].is_empty() {
-            continue;
-        }
-        cmds.push_back((
-            i,
-            ShardCmd::Ingest {
-                evs: std::mem::take(&mut stage.parts[i]),
-                acks: std::mem::take(&mut stage.acks[i]),
-                enqueued,
-            },
-        ));
-    }
-    let events = std::mem::take(&mut stage.events);
-    let pending = std::mem::take(&mut stage.pending);
-    let deferred = std::mem::take(&mut stage.deferred);
-    let last_seq = stage.last_seq;
-    while let Some((i, cmd)) = cmds.pop_front() {
-        match ctx.shard_txs[i].try_send(cmd) {
-            Ok(()) => {
-                let depth = ctx.shard_txs[i].len() as u64;
-                ctx.metrics.observe_queue_depth(depth);
-                ctx.obs.shards[i].observe_queue_depth(depth);
-            }
-            Err(TrySendError::Full(cmd)) => {
-                cmds.push_front((i, cmd));
-                conn.parked = Some(Parked {
-                    cmds,
-                    events,
-                    pending,
-                    deferred,
-                    last_seq,
-                    t_admit,
-                });
-                return Admit::Parked;
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                // Shutdown: the coordinator's fail-all sweep resolves
-                // whatever durable acks already registered.
-                conn.wbuf
-                    .extend_from_slice(&binary::encode_err(last_seq, "server shutting down"));
-                return Admit::Down;
-            }
+impl Replies for BinReplies<'_> {
+    fn held(&self, f: FrameId) -> AckSink {
+        AckSink::Bin {
+            out: self.lane.clone(),
+            seq: f.seq,
+            count: f.count,
         }
     }
-    complete_flush(ctx, conn, events, &pending, deferred, t_admit);
-    Admit::Done
-}
 
-/// Outcome of one batch admission.
-enum Admit {
-    Done,
-    /// Some parts hit a full shard queue and wait on the retry tick.
-    Parked,
-    /// Shard channels disconnected: the server is shutting down.
-    Down,
-}
+    fn ack(&mut self, f: FrameId) {
+        self.wbuf
+            .extend_from_slice(&binary::encode_ack(f.seq, f.count));
+    }
 
-/// Admit one decoded batch under [`Backpressure::Shed`]: split by
-/// route, `try_send` each part, ack per the same rules as the JSONL
-/// plane's `ingest` (durable acks register before any part is
-/// enqueued; shed is all-or-nothing). Block-mode batches never come
-/// here — they coalesce through [`stage_frame`] / [`flush_stage`].
-fn admit(
-    ctx: &Arc<ConnCtx>,
-    out_tx: &Sender<(u64, Vec<u8>)>,
-    wake: &Arc<WakeFd>,
-    conn: &mut Conn,
-    events: Vec<Event>,
-) -> Admit {
-    let t_admit = Instant::now();
-    let count = events.len() as u64;
-    conn.seq += count;
-    let seq = conn.seq;
-    let shards = ctx.shard_txs.len();
-    let mut parts: Vec<Vec<Event>> = vec![Vec::new(); shards];
-    if shards == 1 {
-        parts[0] = events;
-    } else {
-        for ev in events {
-            parts[ctx.router.route(&ev) as usize].push(ev);
-        }
+    fn shed(&mut self, f: FrameId) {
+        self.wbuf
+            .extend_from_slice(&binary::encode_err(f.seq, "shed: ingest queue full"));
     }
-    let targets: Vec<usize> = (0..shards).filter(|&i| !parts[i].is_empty()).collect();
 
-    let frame_ack = if ctx.durable_acks {
-        let sink = AckSink::Bin {
-            out: OutHandle {
-                tx: out_tx.clone(),
-                wake: wake.clone(),
-                token: conn.token,
-            },
-            seq,
-            count,
-        };
-        let f = Arc::new(FrameAck::new(conn.token, sink, targets.len()));
-        ctx.ack_table.register(f.clone());
-        Some(f)
-    } else {
-        None
-    };
-
-    let shed = |conn: &mut Conn| {
-        ctx.metrics.shed.fetch_add(count, Ordering::Relaxed);
-        conn.wbuf
-            .extend_from_slice(&binary::encode_err(seq, "shed: ingest queue full"));
-    };
-
-    if targets.is_empty() {
-        // Empty batch: nothing to enqueue, but in durable mode it
-        // registered above so its ack queues behind earlier frames.
-        let durable = frame_ack.is_some();
-        let pending = if durable { vec![] } else { vec![(seq, count)] };
-        complete_flush(ctx, conn, count, &pending, durable as u64, t_admit);
-        return Admit::Done;
+    fn down(&mut self, seq: u64) {
+        self.wbuf
+            .extend_from_slice(&binary::encode_err(seq, "server shutting down"));
     }
-    if ctx.backpressure == Backpressure::Shed && targets.len() > 1 {
-        let full = targets.iter().any(|&i| {
-            let tx = &ctx.shard_txs[i];
-            tx.capacity().is_some_and(|cap| tx.len() >= cap)
-        });
-        if full {
-            if let Some(f) = &frame_ack {
-                ctx.ack_table.unregister_last(f);
-            }
-            shed(conn);
-            ctx.obs
-                .admit_us
-                .record(t_admit.elapsed().as_micros() as u64);
-            return Admit::Done;
-        }
-    }
-    let single_shed = ctx.backpressure == Backpressure::Shed && targets.len() == 1;
-    let mut cmds: VecDeque<(usize, ShardCmd)> = VecDeque::with_capacity(targets.len());
-    for &i in &targets {
-        let part = std::mem::take(&mut parts[i]);
-        let max_ts = part.iter().map(|e| e.ts).max();
-        let ack = frame_ack.as_ref().map(|f| AckPart {
-            frame: f.clone(),
-            max_ts,
-            admitted: t_admit,
-        });
-        cmds.push_back((
-            i,
-            ShardCmd::Ingest {
-                evs: part,
-                acks: ack.into_iter().collect(),
-                enqueued: t_admit,
-            },
-        ));
-    }
-    while let Some((i, cmd)) = cmds.pop_front() {
-        match ctx.shard_txs[i].try_send(cmd) {
-            Ok(()) => {
-                let depth = ctx.shard_txs[i].len() as u64;
-                ctx.metrics.observe_queue_depth(depth);
-                ctx.obs.shards[i].observe_queue_depth(depth);
-            }
-            Err(TrySendError::Full(cmd)) => {
-                if single_shed {
-                    if let Some(f) = &frame_ack {
-                        ctx.ack_table.unregister_last(f);
-                    }
-                    shed(conn);
-                    ctx.obs
-                        .admit_us
-                        .record(t_admit.elapsed().as_micros() as u64);
-                    return Admit::Done;
-                }
-                // The multi-target Shed race lands here — after the
-                // pre-check passed, a frame may block briefly on the
-                // retry tick, but it is never half-shed.
-                cmds.push_front((i, cmd));
-                let durable = frame_ack.is_some();
-                conn.parked = Some(Parked {
-                    cmds,
-                    events: count,
-                    pending: if durable {
-                        Vec::new()
-                    } else {
-                        vec![(seq, count)]
-                    },
-                    deferred: durable as u64,
-                    last_seq: seq,
-                    t_admit,
-                });
-                return Admit::Parked;
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                if let Some(f) = &frame_ack {
-                    ctx.ack_table.unregister_last(f);
-                }
-                conn.wbuf
-                    .extend_from_slice(&binary::encode_err(seq, "server shutting down"));
-                return Admit::Down;
-            }
-        }
-    }
-    let durable = frame_ack.is_some();
-    let pending = if durable { vec![] } else { vec![(seq, count)] };
-    complete_flush(ctx, conn, count, &pending, durable as u64, t_admit);
-    Admit::Done
-}
-
-/// Every part is enqueued (or the frames were empty): count the
-/// events and emit the immediate acks, frame by frame in order,
-/// unless durable ones are pending in the table.
-fn complete_flush(
-    ctx: &ConnCtx,
-    conn: &mut Conn,
-    events: u64,
-    pending: &[(u64, u64)],
-    deferred: u64,
-    t_admit: Instant,
-) {
-    ctx.metrics.events.fetch_add(events, Ordering::Relaxed);
-    if deferred > 0 {
-        ctx.metrics
-            .acks_deferred
-            .fetch_add(deferred, Ordering::Relaxed);
-    }
-    for &(seq, count) in pending {
-        conn.wbuf.extend_from_slice(&binary::encode_ack(seq, count));
-    }
-    ctx.obs
-        .admit_us
-        .record(t_admit.elapsed().as_micros() as u64);
 }
 
 /// Give every parked connection another shot at its shard queues.
@@ -1026,58 +704,27 @@ fn retry_parked(r: &mut Reactor) {
     let tokens: Vec<u64> = r
         .conns
         .iter()
-        .filter(|(_, c)| c.parked.is_some())
+        .filter(|(_, c)| c.stage.is_parked())
         .map(|(t, _)| *t)
         .collect();
     for token in tokens {
         let ctx = r.ctx.clone();
-        let out_tx = r.out_tx.clone();
-        let wake = r.wake.clone();
         let Some(conn) = r.conns.get_mut(&token) else {
             continue;
         };
-        let Some(mut p) = conn.parked.take() else {
-            continue;
+        let mut out = BinReplies {
+            wbuf: &mut conn.wbuf,
+            lane: &conn.out,
         };
-        let mut dead = false;
-        while let Some((i, cmd)) = p.cmds.pop_front() {
-            match ctx.shard_txs[i].try_send(cmd) {
-                Ok(()) => {
-                    let depth = ctx.shard_txs[i].len() as u64;
-                    ctx.metrics.observe_queue_depth(depth);
-                    ctx.obs.shards[i].observe_queue_depth(depth);
-                }
-                Err(TrySendError::Full(cmd)) => {
-                    p.cmds.push_front((i, cmd));
-                    break;
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    // Shutdown mid-frame: the registered acks are
-                    // resolved by the coordinator's fail-all sweep.
-                    conn.wbuf
-                        .extend_from_slice(&binary::encode_err(p.last_seq, "server shutting down"));
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        let after = if dead {
-            After::Close
-        } else if p.cmds.is_empty() {
-            complete_flush(&ctx, conn, p.events, &p.pending, p.deferred, p.t_admit);
-            if conn.closing {
-                // A poison frame followed the parked one: nothing left
-                // in the buffer is trustworthy, just settle the close.
-                After::Keep
-            } else {
-                // The read buffer may hold frames decoded behind the
-                // one that parked; resume processing before re-arming
-                // reads.
-                process_buffer(&ctx, &out_tx, &wake, conn)
-            }
-        } else {
-            conn.parked = Some(p);
-            After::Keep
+        let after = match conn.stage.resume(&ctx, false, &mut out) {
+            Flush::Parked => After::Keep,
+            Flush::Down => After::Close,
+            // A poison frame followed the parked one: nothing left in
+            // the buffer is trustworthy, just settle the close.
+            Flush::Done if conn.closing => After::Keep,
+            // The read buffer may hold frames decoded behind the one
+            // that parked; resume processing before re-arming reads.
+            Flush::Done => process_buffer(&ctx, conn),
         };
         finish_conn_pass(r, token, after);
     }
@@ -1091,22 +738,12 @@ fn spawn_sync(ctx: Arc<ConnCtx>, out: OutHandle) {
     let _ = thread::Builder::new()
         .name("fenestra-bsync".into())
         .spawn(move || {
-            let mut dones = Vec::with_capacity(ctx.shard_txs.len());
-            for tx in &ctx.shard_txs {
-                let (dtx, drx) = channel::bounded(1);
-                if tx.send(ShardCmd::Sync { done: dtx }).is_err() {
-                    out.send(binary::encode_err(0, "server shutting down"));
-                    return;
-                }
-                dones.push(drx);
-            }
-            for drx in dones {
-                if drx.recv().is_err() {
-                    out.send(binary::encode_err(0, "server shutting down"));
-                    return;
-                }
-            }
-            out.send(binary::encode_synced());
+            out.send(
+                match fan_out(&ctx.shard_txs, |done| ShardCmd::Sync { done }) {
+                    Some(_) => binary::encode_synced(),
+                    None => binary::encode_err(0, "server shutting down"),
+                },
+            );
         });
 }
 
@@ -1134,7 +771,7 @@ fn finish_conn_pass(r: &mut Reactor, token: u64, after: After) {
     // Linger rules: a closing/EOF connection survives until its
     // write buffer is out the door — and, after a clean client EOF,
     // until the ack table owes it nothing more.
-    let drained = conn.wbuf.is_empty() && conn.parked.is_none();
+    let drained = conn.wbuf.is_empty() && !conn.stage.is_parked();
     if drained && conn.closing {
         close_conn(r, token);
         return;

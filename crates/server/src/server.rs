@@ -1,17 +1,19 @@
 //! The threaded TCP server.
 //!
-//! Threading model: N **shard threads** (one per `--shards`, default 1)
-//! each own one [`Engine`] partition and consume their own bounded
+//! Threading model: N **shard threads** (one per `--shards`) each own
+//! one [`Engine`] partition and consume their own bounded
 //! command queue (FIFO per shard, so a `shutdown` command naturally
 //! drains every ingest admitted before it on that shard). Events route
 //! to exactly one shard by a deterministic hash of their entity key
 //! (see [`fenestra_core::ShardRouter`]); batch frames are split by
 //! route and acked only when **every** touched shard's group commit
-//! covers its part. Each accepted connection gets a **reader thread**
-//! (socket lines → commands) and a **writer thread** (outbound channel
-//! → socket), so slow clients never stall the engines — except
-//! deliberately, under the [`Backpressure::Block`] policy, where a
-//! full shard queue blocks the *sending* connection only.
+//! covers its part. The epoll reactor pool (`src/reactor.rs`) accepts
+//! every socket and serves binary-plane connections itself; a JSONL
+//! connection is handed to a **reader thread** (socket lines →
+//! commands) and a **writer thread** (outbound channel → socket), so
+//! slow clients never stall the engines. Both planes admit ingest
+//! through `src/admit.rs`; under [`Backpressure::Block`] a full shard
+//! queue holds back the *sending* connection only.
 //!
 //! Queries fan out across shards and merge. `stats` is served
 //! **lock-light** on the connection thread: shard loops and WAL
@@ -24,10 +26,11 @@
 //! one shard, query byte layout and the on-disk WAL/snapshot format
 //! are identical to the pre-sharding server.
 
+use crate::admit::{AckPart, AckSink, AckTable, Flush, FrameId, Replies, Stage};
 use crate::config::{Backpressure, ServerConfig};
 use crate::metrics::ServerMetrics;
 use crate::proto::{self, Request};
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use crossbeam::channel::{self, Receiver, Sender};
 use fenestra_base::error::{Error, Result};
 use fenestra_base::record::Event;
 use fenestra_base::symbol::Symbol;
@@ -49,223 +52,14 @@ use fenestra_temporal::wal_file::{
 use fenestra_temporal::{FsyncPolicy, Provenance, TemporalStore, WalWriter, WalWriterStats};
 use fenestra_wire::repl::{redirect_line, ReplFrame, ShardPosition};
 use serde_json::{Map, Value as Json};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
-
-// ----- cross-shard acks -----------------------------------------------------
-
-/// Where (and how) a frame's acknowledgement is delivered. The two
-/// wire planes share one ack table — and therefore one FIFO, vote,
-/// and failure machinery — but render resolutions differently: the
-/// JSONL plane sends pre-built reply lines to its writer thread, the
-/// binary plane sends encoded `Ack`/`Err` frames to the reactor that
-/// owns the connection.
-pub(crate) enum AckSink {
-    /// JSONL: the connection writer's line channel, plus the ack line
-    /// built at admission.
-    Line {
-        /// The connection's outbound line channel.
-        tx: Sender<String>,
-        /// The success line (`{"ok":true,…}`), pre-rendered.
-        line: String,
-    },
-    /// Binary: the owning reactor's outbound byte lane, plus the ack
-    /// identity to encode on resolution.
-    Bin {
-        /// Queue-and-wake handle addressing the connection.
-        out: crate::reactor::OutHandle,
-        /// Per-connection sequence number of the frame's last event.
-        seq: u64,
-        /// Events in the frame.
-        count: u64,
-    },
-}
-
-impl AckSink {
-    /// Deliver the success acknowledgement.
-    fn send_ok(&self) {
-        match self {
-            AckSink::Line { tx, line } => {
-                let _ = tx.send(line.clone());
-            }
-            AckSink::Bin { out, seq, count } => {
-                out.send(fenestra_wire::binary::encode_ack(*seq, *count));
-            }
-        }
-    }
-
-    /// Deliver a failure resolution carrying `msg`.
-    fn send_err(&self, msg: &str) {
-        match self {
-            AckSink::Line { tx, .. } => {
-                let _ = tx.send(proto::error(msg));
-            }
-            AckSink::Bin { out, seq, .. } => {
-                out.send(fenestra_wire::binary::encode_err(*seq, msg));
-            }
-        }
-    }
-}
-
-/// One ingest frame's acknowledgement, shared by every shard the frame
-/// touched. Under durable acks (`--fsync always` with a WAL) the ack
-/// line is released only after each touched shard **votes**: its group
-/// commit covered the frame's part — with `--max-lateness-ms > 0`,
-/// only once the shard's watermark passed the part (see the crate docs,
-/// "Ack semantics and durability"; the PR-4 contract holds per shard).
-pub(crate) struct FrameAck {
-    /// Connection the ack belongs to (release is FIFO per connection).
-    conn: u64,
-    sink: AckSink,
-    /// Touched shards that have not voted yet. At zero the frame is
-    /// complete and its line can go out (in per-connection order).
-    remaining: AtomicUsize,
-    /// Set by any shard whose WAL append/sync failed: the frame is not
-    /// durable, so completion sends an error instead of the ack.
-    failed: AtomicBool,
-    /// Set by the sync-replica gate when the frame was locally durable
-    /// but not confirmed by enough followers within `--sync-timeout-ms`
-    /// (and `--sync-fallback` was off). Distinguishes the error line:
-    /// the events *are* on the leader's disk, just not replicated.
-    sync_failed: AtomicBool,
-    /// Completion latch, read by the per-connection FIFO drain.
-    done: AtomicBool,
-}
-
-impl FrameAck {
-    /// A fresh frame ack awaiting `remaining` shard votes.
-    pub(crate) fn new(conn: u64, sink: AckSink, remaining: usize) -> FrameAck {
-        FrameAck {
-            conn,
-            sink,
-            remaining: AtomicUsize::new(remaining),
-            failed: AtomicBool::new(false),
-            sync_failed: AtomicBool::new(false),
-            done: AtomicBool::new(false),
-        }
-    }
-}
-
-/// Registry of in-flight durable acks, keyed by connection, in socket
-/// (admission) order. Shards vote from their own threads; the table
-/// sends each connection's ack lines strictly in admission order — a
-/// completed frame waits behind an earlier incomplete one, but one
-/// connection's stalled frame never holds up another connection.
-pub(crate) struct AckTable {
-    conns: Mutex<HashMap<u64, VecDeque<Arc<FrameAck>>>>,
-    /// For the `acks_released` counter: every held line handed to a
-    /// writer (ack or failure) counts as one resolved deferral.
-    metrics: Arc<ServerMetrics>,
-}
-
-impl AckTable {
-    fn new(metrics: Arc<ServerMetrics>) -> AckTable {
-        AckTable {
-            conns: Mutex::new(HashMap::new()),
-            metrics,
-        }
-    }
-
-    /// Whether connection `conn` still has unresolved frames — the
-    /// reactor keeps an EOF'd binary connection alive until this says
-    /// no, so held acks outlive a client that stops sending.
-    pub(crate) fn has_conn(&self, conn: u64) -> bool {
-        self.conns
-            .lock()
-            .expect("ack table lock")
-            .contains_key(&conn)
-    }
-
-    /// Register a frame in admission order. Must happen before any
-    /// shard can vote on it (i.e. before the parts are enqueued).
-    pub(crate) fn register(&self, frame: Arc<FrameAck>) {
-        let empty = frame.remaining.load(Ordering::Acquire) == 0;
-        if empty {
-            frame.done.store(true, Ordering::Release);
-        }
-        let conn = frame.conn;
-        self.conns
-            .lock()
-            .expect("ack table lock")
-            .entry(conn)
-            .or_default()
-            .push_back(frame);
-        if empty {
-            self.drain(conn);
-        }
-    }
-
-    /// Remove a just-registered frame that was never admitted (shed).
-    /// Only the registering connection thread calls this, and frames
-    /// register sequentially per connection, so it is the back entry.
-    pub(crate) fn unregister_last(&self, frame: &Arc<FrameAck>) {
-        let mut map = self.conns.lock().expect("ack table lock");
-        if let Some(q) = map.get_mut(&frame.conn) {
-            if q.back().is_some_and(|b| Arc::ptr_eq(b, frame)) {
-                q.pop_back();
-            }
-            if q.is_empty() {
-                map.remove(&frame.conn);
-            }
-        }
-    }
-
-    /// One shard's verdict on its part of the frame. Exactly one vote
-    /// per touched shard; the last vote completes the frame and flushes
-    /// the connection's sendable prefix.
-    fn vote(&self, frame: &Arc<FrameAck>, durable: bool) {
-        if !durable {
-            frame.failed.store(true, Ordering::Release);
-        }
-        if frame.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            frame.done.store(true, Ordering::Release);
-            self.drain(frame.conn);
-        }
-    }
-
-    /// Send the connection's completed-frame prefix, in order.
-    fn drain(&self, conn: u64) {
-        let mut map = self.conns.lock().expect("ack table lock");
-        let Some(q) = map.get_mut(&conn) else { return };
-        while q.front().is_some_and(|f| f.done.load(Ordering::Acquire)) {
-            let f = q.pop_front().expect("checked front");
-            self.metrics.acks_released.fetch_add(1, Ordering::Relaxed);
-            if f.sync_failed.load(Ordering::Acquire) {
-                f.sink.send_err(
-                    "sync replication timed out; events durable locally but not \
-                     confirmed by enough replicas",
-                );
-            } else if f.failed.load(Ordering::Acquire) {
-                f.sink.send_err("WAL append failed; events not durable");
-            } else {
-                f.sink.send_ok();
-            }
-        }
-        if q.is_empty() {
-            map.remove(&conn);
-        }
-    }
-
-    /// Shutdown sweep: every frame still registered (admitted behind
-    /// the shutdown command, so never applied) is failed explicitly —
-    /// no ack is left hanging, and no sink is left alive to wedge a
-    /// connection's writer thread.
-    fn fail_all(&self, msg: &str) {
-        let mut map = self.conns.lock().expect("ack table lock");
-        for (_, q) in map.drain() {
-            for f in q {
-                self.metrics.acks_released.fetch_add(1, Ordering::Relaxed);
-                f.sink.send_err(msg);
-            }
-        }
-    }
-}
 
 // ----- sync-replica ack gate ------------------------------------------------
 
@@ -435,31 +229,17 @@ fn gate_pass(ctx: &SyncGateCtx, queues: &mut [VecDeque<SyncWait>]) {
 
 // ----- shard commands -------------------------------------------------------
 
-/// A frame part's ack bookkeeping, carried with the part to its shard.
-pub(crate) struct AckPart {
-    pub(crate) frame: Arc<FrameAck>,
-    /// Highest event timestamp in *this shard's part* (`None` never
-    /// occurs for sent parts — empty parts are not sent — but a frame
-    /// dropped entirely as late still yields a covered vote).
-    pub(crate) max_ts: Option<Timestamp>,
-    /// When the connection thread admitted the frame; the `ack_hold_us`
-    /// stage measures from here to the covering vote.
-    pub(crate) admitted: Instant,
-}
-
 /// One shard's history span list, ids already resolved.
 type HistorySpans = Vec<(Interval, Value, Provenance)>;
 
 /// Commands consumed by a shard thread.
 pub(crate) enum ShardCmd {
-    /// This shard's part of one or more ingest frames. The shard
-    /// greedily coalesces consecutive parts into one group commit and
-    /// votes the attached acks once its WAL fsync covers them. The
-    /// JSONL plane sends one part per frame; the reactor coalesces
-    /// every frame it decoded from one socket drain into a single part
-    /// carrying one [`AckPart`] per frame (bigger group commits from
-    /// the same queue depth). `enqueued` is when the front door sent
-    /// the part (the `queue_wait_us` stage).
+    /// This shard's part of one or more ingest frames, built only by
+    /// [`Stage::flush`]: one part per touched shard per flush, with one
+    /// [`AckPart`] per held frame. The shard greedily coalesces
+    /// consecutive parts into one group commit and votes the attached
+    /// acks once its WAL fsync covers them. `enqueued` is when the
+    /// flush built the part (the `queue_wait_us` stage).
     Ingest {
         evs: Vec<Event>,
         acks: Vec<AckPart>,
@@ -550,6 +330,28 @@ pub(crate) enum ShardCmd {
     Shutdown {
         done: Sender<()>,
     },
+}
+
+/// Send one request to every shard, then wait for every reply, in
+/// shard order. `cmd` wraps each shard's reply channel. `None` when any
+/// shard thread is gone — after every shard that did take the request
+/// has replied.
+pub(crate) fn fan_out<T>(
+    txs: &[Sender<ShardCmd>],
+    mut cmd: impl FnMut(Sender<T>) -> ShardCmd,
+) -> Option<Vec<T>> {
+    let rxs: Vec<_> = txs
+        .iter()
+        .map(|tx| {
+            let (reply, rx) = channel::bounded(1);
+            tx.send(cmd(reply)).ok().map(|()| rx)
+        })
+        .collect();
+    let replies: Vec<Option<T>> = rxs
+        .into_iter()
+        .map(|rx| rx.and_then(|rx| rx.recv().ok()))
+        .collect();
+    replies.into_iter().collect()
 }
 
 // ----- replication role -----------------------------------------------------
@@ -653,16 +455,7 @@ impl ShutdownCoord {
             }
             return;
         }
-        let mut dones = Vec::new();
-        for tx in &self.shard_txs {
-            let (dtx, drx) = channel::bounded(1);
-            if tx.send(ShardCmd::Shutdown { done: dtx }).is_ok() {
-                dones.push(drx);
-            }
-        }
-        for d in dones {
-            let _ = d.recv();
-        }
+        let _ = fan_out(&self.shard_txs, |done| ShardCmd::Shutdown { done });
         // Give parked sync waits their last chance to resolve — the
         // replication listener is still shipping, so followers can
         // still cover them — before anything is failed wholesale.
@@ -1974,24 +1767,9 @@ struct FollowerRuntime {
 /// fresh from the shard threads — the resume positions a reconnect
 /// offers the leader. `None` when a shard thread is gone (shutdown).
 fn shard_positions(rt: &FollowerRuntime) -> Option<Vec<ShardPosition>> {
-    let mut rxs = Vec::with_capacity(rt.shard_txs.len());
-    for tx in &rt.shard_txs {
-        let (reply, rx) = channel::bounded(1);
-        if tx.send(ShardCmd::ReplicaPosition { reply }).is_err() {
-            return None;
-        }
-        rxs.push(rx);
-    }
-    let mut out = Vec::with_capacity(rxs.len());
-    for (i, rx) in rxs.into_iter().enumerate() {
-        let (gen, offset) = rx.recv().ok()?;
-        out.push(ShardPosition {
-            shard: i as u32,
-            gen,
-            offset,
-        });
-    }
-    Some(out)
+    let positions = fan_out(&rt.shard_txs, |reply| ShardCmd::ReplicaPosition { reply })?;
+    let at = |(shard, (gen, offset))| ShardPosition { shard, gen, offset };
+    Some((0..).zip(positions).map(at).collect())
 }
 
 /// The follower thread: connect to the leader, dispatch shipped frames
@@ -2339,16 +2117,7 @@ fn promote(rt: &FollowerRuntime) -> bool {
     }
     // Barrier: promotion reports complete only once every shard has
     // checkpointed under the new epoch.
-    let mut dones = Vec::new();
-    for tx in &rt.shard_txs {
-        let (done, rx) = channel::bounded(1);
-        if tx.send(ShardCmd::Sync { done }).is_ok() {
-            dones.push(rx);
-        }
-    }
-    for rx in dones {
-        let _ = rx.recv();
-    }
+    let _ = fan_out(&rt.shard_txs, |done| ShardCmd::Sync { done });
     rt.repl.promoted.store(true, Ordering::SeqCst);
     eprintln!("fenestrad: promoted to leader at epoch {new_epoch}");
     true
@@ -2476,7 +2245,7 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: Arc<ConnCtx>, conn_id: u64, pr
     // one write + flush for the lot — under held-ack bursts (a group
     // commit releasing dozens of acks at once) that is one syscall
     // pair instead of one per line.
-    let (out_tx, out_rx) = channel::unbounded::<String>();
+    let (mut out_tx, out_rx) = channel::unbounded::<String>();
     let writer = {
         let metrics = ctx.metrics.clone();
         thread::spawn(move || {
@@ -2511,6 +2280,7 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: Arc<ConnCtx>, conn_id: u64, pr
     let mut reader = BufReader::new(std::io::Cursor::new(prefix).chain(stream));
     let mut raw = Vec::new();
     let mut seq = 0u64;
+    let mut stage = Stage::new(ctx.shard_txs.len());
     loop {
         let line = match read_line_capped(&mut reader, &mut raw, ctx.max_frame_bytes) {
             Ok(LineRead::Eof) => break,
@@ -2559,23 +2329,14 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: Arc<ConnCtx>, conn_id: u64, pr
         match req {
             Request::Event(ev) => {
                 seq += 1;
-                if !ingest(&ctx, &out_tx, conn_id, Frame::One(ev), seq) {
+                if !admit_line(&ctx, &mut stage, &mut out_tx, conn_id, seq, vec![ev], true) {
                     break;
                 }
             }
             Request::Batch(evs) => {
-                if evs.is_empty() && !ctx.durable_acks {
-                    // Nothing to admit; ack the frame without a shard
-                    // round-trip. In durable-ack mode even empty frames
-                    // register in the ack table so their ack cannot
-                    // overtake a held ack for an earlier frame on the
-                    // same connection.
-                    let _ = out_tx.send(proto::ack_batch(seq, 0));
-                } else {
-                    seq += evs.len() as u64;
-                    if !ingest(&ctx, &out_tx, conn_id, Frame::Many(evs), seq) {
-                        break;
-                    }
+                seq += evs.len() as u64;
+                if !admit_line(&ctx, &mut stage, &mut out_tx, conn_id, seq, evs, false) {
+                    break;
                 }
             }
             Request::Query { text } => {
@@ -2662,6 +2423,65 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: Arc<ConnCtx>, conn_id: u64, pr
     let _ = writer.join();
 }
 
+/// Admit one JSONL ingest frame ending at `seq` (`single`: a plain
+/// event line): stage it alone and flush, waiting out a full shard
+/// queue (the `Block` policy, or a `Shed` frame that won the
+/// check-then-send race). Returns `false` once the server is shutting
+/// down.
+fn admit_line(
+    ctx: &ConnCtx,
+    stage: &mut Stage,
+    out: &mut Sender<String>,
+    conn: u64,
+    seq: u64,
+    evs: Vec<Event>,
+    single: bool,
+) -> bool {
+    let id = FrameId {
+        seq,
+        count: evs.len() as u64,
+        single,
+    };
+    stage.push(ctx, conn, id, evs, out);
+    let mut flushed = stage.flush(ctx, out);
+    if flushed == Flush::Parked {
+        flushed = stage.resume(ctx, true, out);
+    }
+    flushed != Flush::Down
+}
+
+/// JSONL replies: lines on the connection's writer channel.
+impl Replies for Sender<String> {
+    fn held(&self, f: FrameId) -> AckSink {
+        AckSink::Line {
+            tx: self.clone(),
+            line: ack_line(f),
+        }
+    }
+
+    fn ack(&mut self, f: FrameId) {
+        let _ = self.send(ack_line(f));
+    }
+
+    fn shed(&mut self, f: FrameId) {
+        let _ = self.send(proto::shed(f.seq, f.count));
+    }
+
+    fn down(&mut self, _seq: u64) {
+        let _ = self.send(proto::error("server shutting down"));
+    }
+}
+
+/// A plain event line is acked by `seq` alone, a batch frame with its
+/// `count`.
+fn ack_line(f: FrameId) -> String {
+    if f.single {
+        proto::ack(f.seq)
+    } else {
+        proto::ack_batch(f.seq, f.count)
+    }
+}
+
 /// Compile `text` through the shared plan cache, recording compile
 /// latency into the plan histograms on a miss.
 fn compile_cached(ctx: &ConnCtx, text: &str) -> Result<Arc<CachedPlan>> {
@@ -2726,30 +2546,20 @@ fn dispatch_plan(ctx: &ConnCtx, plan: &Arc<CachedPlan>) -> String {
 
 /// Fan a select out to every shard and merge via [`merge_rows`].
 fn fan_out_rows(ctx: &ConnCtx, q: &Arc<Query>) -> String {
-    let mut replies = Vec::with_capacity(ctx.shard_txs.len());
-    for tx in &ctx.shard_txs {
-        let (rtx, rrx) = channel::bounded(1);
-        if tx
-            .send(ShardCmd::QueryRows {
-                q: q.clone(),
-                reply: rtx,
-            })
-            .is_err()
-        {
-            return proto::error("server shutting down");
-        }
-        replies.push(rrx);
+    let replies = fan_out(&ctx.shard_txs, |reply| ShardCmd::QueryRows {
+        q: q.clone(),
+        reply,
+    });
+    let Some(replies) = replies else {
+        return proto::error("server shutting down");
+    };
+    match replies
+        .into_iter()
+        .collect::<std::result::Result<Vec<_>, _>>()
+    {
+        Ok(parts) => proto::query_reply(&QueryResult::Rows(merge_rows(q, parts)), None),
+        Err(msg) => proto::error(&msg),
     }
-    let mut parts = Vec::with_capacity(replies.len());
-    for rrx in replies {
-        match rrx.recv() {
-            Ok(Ok(rows)) => parts.push(rows),
-            Ok(Err(msg)) => return proto::error(&msg),
-            Err(_) => return proto::error("server shutting down"),
-        }
-    }
-    let rows = merge_rows(q, parts);
-    proto::query_reply(&QueryResult::Rows(rows), None)
 }
 
 /// Fan a history query out to every shard and merge every timeline
@@ -2757,34 +2567,16 @@ fn fan_out_rows(ctx: &ConnCtx, q: &Arc<Query>) -> String {
 /// shard id then in-shard order (see
 /// [`fenestra_core::shard::merge_history`]).
 fn fan_out_history(ctx: &ConnCtx, entity: Symbol, attr: Symbol) -> String {
-    let mut replies = Vec::with_capacity(ctx.shard_txs.len());
-    for tx in &ctx.shard_txs {
-        let (rtx, rrx) = channel::bounded(1);
-        if tx
-            .send(ShardCmd::QueryHistory {
-                entity,
-                attr,
-                reply: rtx,
-            })
-            .is_err()
-        {
-            return proto::error("server shutting down");
-        }
-        replies.push(rrx);
-    }
-    let mut parts: Vec<HistorySpans> = Vec::new();
-    let mut known = false;
-    for rrx in replies {
-        match rrx.recv() {
-            Ok(Some(spans)) => {
-                known = true;
-                parts.push(spans);
-            }
-            Ok(None) => {}
-            Err(_) => return proto::error("server shutting down"),
-        }
-    }
-    if !known {
+    let replies = fan_out(&ctx.shard_txs, |reply| ShardCmd::QueryHistory {
+        entity,
+        attr,
+        reply,
+    });
+    let Some(replies) = replies else {
+        return proto::error("server shutting down");
+    };
+    let parts: Vec<HistorySpans> = replies.into_iter().flatten().collect();
+    if parts.is_empty() {
         return proto::error(&Error::Invalid(format!("unknown entity `{entity}`")).to_string());
     }
     // Ids were resolved shard-side; no store needed here.
@@ -2797,28 +2589,17 @@ fn fan_out_history(ctx: &ConnCtx, entity: Symbol, attr: Symbol) -> String {
 /// (shard id then in-shard order break ts ties), and the window
 /// operator runs once over the merged stream.
 fn fan_out_window(ctx: &ConnCtx, w: &Arc<WindowPhys>) -> String {
-    let mut replies = Vec::with_capacity(ctx.shard_txs.len());
-    for tx in &ctx.shard_txs {
-        let (rtx, rrx) = channel::bounded(1);
-        if tx
-            .send(ShardCmd::QueryFacts {
-                w: w.clone(),
-                reply: rtx,
-            })
-            .is_err()
-        {
-            return proto::error("server shutting down");
-        }
-        replies.push(rrx);
-    }
-    let mut batches = Vec::with_capacity(replies.len());
-    for rrx in replies {
-        match rrx.recv() {
-            Ok(Ok(evs)) => batches.push(evs),
-            Ok(Err(msg)) => return proto::error(&msg),
-            Err(_) => return proto::error("server shutting down"),
-        }
-    }
+    let replies = fan_out(&ctx.shard_txs, |reply| ShardCmd::QueryFacts {
+        w: w.clone(),
+        reply,
+    });
+    let Some(replies) = replies else {
+        return proto::error("server shutting down");
+    };
+    let batches = match replies.into_iter().collect() {
+        Ok(batches) => batches,
+        Err(msg) => return proto::error(&msg),
+    };
     match w.aggregate(WindowPhys::merge_fact_batches(batches)) {
         Ok(rows) => proto::query_reply(&QueryResult::Rows(rows), None),
         Err(e) => proto::error(&e.to_string()),
@@ -2908,182 +2689,11 @@ fn plans_json(ctx: &ConnCtx) -> Json {
 /// replied — proving every command admitted before the barrier (on any
 /// shard, by FIFO queues) has been applied.
 fn fan_out_sync(ctx: &ConnCtx, out_tx: &Sender<String>) {
-    let mut dones = Vec::with_capacity(ctx.shard_txs.len());
-    for tx in &ctx.shard_txs {
-        let (dtx, drx) = channel::bounded(1);
-        if tx.send(ShardCmd::Sync { done: dtx }).is_err() {
-            let _ = out_tx.send(proto::error("server shutting down"));
-            return;
-        }
-        dones.push(drx);
-    }
-    for drx in dones {
-        if drx.recv().is_err() {
-            let _ = out_tx.send(proto::error("server shutting down"));
-            return;
-        }
-    }
-    let _ = out_tx.send(proto::synced());
-}
-
-/// One ingest frame off the wire: a plain event line, or a
-/// client-batched `{"op":"ingest","events":[…]}` frame.
-enum Frame {
-    One(Event),
-    Many(Vec<Event>),
-}
-
-/// Admit one ingest frame: split it by route, enqueue each part on its
-/// shard under the configured backpressure policy, and arrange the
-/// ack. A frame is admitted (or shed) atomically: under `Shed`, a
-/// frame touching several shards is shed whole if any target queue is
-/// full at admission time (the check-then-send window makes this best
-/// effort — a frame may block briefly instead of shedding — but a
-/// frame is never half-shed). Under durable acks the ack is released
-/// by the last touched shard's covering group commit (see
-/// [`AckTable`]); otherwise it is sent here, at admit time. Returns
-/// `false` when the server is shutting down.
-fn ingest(
-    ctx: &ConnCtx,
-    out_tx: &Sender<String>,
-    conn_id: u64,
-    frame: Frame,
-    last_seq: u64,
-) -> bool {
-    // One clock read covers the whole admission: the enqueue stamp for
-    // `queue_wait_us`, the hold start for `ack_hold_us`, and the
-    // front-door `admit_us` sample at the end.
-    let t_admit = Instant::now();
-    let (evs, ack_line) = match frame {
-        Frame::One(ev) => (vec![ev], proto::ack(last_seq)),
-        Frame::Many(evs) => {
-            let n = evs.len() as u64;
-            (evs, proto::ack_batch(last_seq, n))
-        }
+    let line = match fan_out(&ctx.shard_txs, |done| ShardCmd::Sync { done }) {
+        Some(_) => proto::synced(),
+        None => proto::error("server shutting down"),
     };
-    let count = evs.len() as u64;
-    // Split by route, preserving arrival order within each shard.
-    let shards = ctx.shard_txs.len();
-    let mut parts: Vec<Vec<Event>> = vec![Vec::new(); shards];
-    if shards == 1 {
-        parts[0] = evs;
-    } else {
-        for ev in evs {
-            parts[ctx.router.route(&ev) as usize].push(ev);
-        }
-    }
-    let targets: Vec<usize> = (0..shards).filter(|&i| !parts[i].is_empty()).collect();
-
-    let frame_ack = if ctx.durable_acks {
-        let f = Arc::new(FrameAck::new(
-            conn_id,
-            AckSink::Line {
-                tx: out_tx.clone(),
-                line: ack_line.clone(),
-            },
-            targets.len(),
-        ));
-        // Register before any part can be voted on; an empty frame
-        // completes immediately (but still queues behind earlier
-        // frames' acks).
-        ctx.ack_table.register(f.clone());
-        Some(f)
-    } else {
-        None
-    };
-
-    // Admission. Single-target frames use an atomic try_send under
-    // `Shed` (exactly the unsharded semantics); multi-target frames
-    // pre-check fullness so the frame sheds whole or not at all.
-    let admitted = if targets.is_empty() {
-        true // Empty durable frame: registered above, nothing to send.
-    } else {
-        let shed_now = ctx.backpressure == Backpressure::Shed
-            && targets.len() > 1
-            && targets.iter().any(|&i| {
-                let tx = &ctx.shard_txs[i];
-                tx.capacity().is_some_and(|cap| tx.len() >= cap)
-            });
-        if shed_now {
-            false
-        } else {
-            let mut ok = true;
-            for &i in &targets {
-                let part = std::mem::take(&mut parts[i]);
-                let max_ts = part.iter().map(|e| e.ts).max();
-                let ack = frame_ack.as_ref().map(|f| AckPart {
-                    frame: f.clone(),
-                    max_ts,
-                    admitted: t_admit,
-                });
-                let cmd = ShardCmd::Ingest {
-                    evs: part,
-                    acks: ack.into_iter().collect(),
-                    enqueued: t_admit,
-                };
-                let sent = match ctx.backpressure {
-                    Backpressure::Shed if targets.len() == 1 => {
-                        match ctx.shard_txs[i].try_send(cmd) {
-                            Ok(()) => true,
-                            Err(TrySendError::Full(_)) => {
-                                ok = false;
-                                false
-                            }
-                            Err(TrySendError::Disconnected(_)) => {
-                                if let Some(f) = &frame_ack {
-                                    ctx.ack_table.unregister_last(f);
-                                }
-                                let _ = out_tx.send(proto::error("server shutting down"));
-                                return false;
-                            }
-                        }
-                    }
-                    _ => {
-                        if ctx.shard_txs[i].send(cmd).is_err() {
-                            if let Some(f) = &frame_ack {
-                                ctx.ack_table.unregister_last(f);
-                            }
-                            let _ = out_tx.send(proto::error("server shutting down"));
-                            return false;
-                        }
-                        true
-                    }
-                };
-                if sent {
-                    let depth = ctx.shard_txs[i].len() as u64;
-                    // Server-level HWM (max across shards) and this
-                    // shard's own depth/HWM (`gauges.queue_hwm`).
-                    ctx.metrics.observe_queue_depth(depth);
-                    ctx.obs.shards[i].observe_queue_depth(depth);
-                }
-            }
-            ok
-        }
-    };
-
-    if admitted {
-        ctx.metrics.events.fetch_add(count, Ordering::Relaxed);
-        if ctx.durable_acks {
-            // Counted only once the frame actually entered the queues —
-            // a shed frame's ack was never deferred, it never existed.
-            ctx.metrics.acks_deferred.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let _ = out_tx.send(ack_line);
-        }
-    } else {
-        // Shed the whole frame (only reachable under `Shed`, and only
-        // before any part was sent — single-target try_send, or the
-        // multi-target pre-check).
-        if let Some(f) = &frame_ack {
-            ctx.ack_table.unregister_last(f);
-        }
-        ctx.metrics.shed.fetch_add(count, Ordering::Relaxed);
-        let _ = out_tx.send(proto::shed(last_seq, count));
-    }
-    ctx.obs
-        .admit_us
-        .record(t_admit.elapsed().as_micros() as u64);
-    true
+    let _ = out_tx.send(line);
 }
 
 // ----- Prometheus listener --------------------------------------------------

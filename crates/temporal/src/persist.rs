@@ -665,11 +665,14 @@ mod tests {
         let r = load(&p).unwrap();
         let rv = r.lookup_entity("visitor").unwrap();
         assert_eq!(r.current().value(rv, "room"), Some(Value::str("exit")));
-        // No stray temp files from the atomic protocol.
+        // No stray temp files from the atomic protocol. Only temp names
+        // derived from this test's own file count: sibling tests share
+        // the directory and may have their own saves in flight.
+        let prefix = format!("atomic-{}.json.tmp.", std::process::id());
         let strays: Vec<_> = fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
+            .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
             .collect();
         assert!(strays.is_empty(), "{strays:?}");
         fs::remove_file(&p).ok();

@@ -867,3 +867,240 @@ fn watch_rejects_history_queries() {
     assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{v}");
     handle.shutdown();
 }
+
+/// Events of one synthetic ingest frame: `n` distinct visitors named
+/// `{tag}{frame}x{i}`, all in room `r` at one timestamp (so no event is
+/// ever late, whatever order the shards see the frames in).
+fn frame_events(tag: &str, frame: u64, n: u64) -> Vec<fenestra::prelude::Event> {
+    use fenestra::prelude::{Event, Value};
+    (0..n)
+        .map(|i| {
+            Event::from_pairs(
+                "sensors",
+                1,
+                [
+                    ("visitor", Value::str(&format!("{tag}{frame}x{i}"))),
+                    ("room", Value::str("r")),
+                ],
+            )
+        })
+        .collect()
+}
+
+fn frame_line(tag: &str, frame: u64, n: u64) -> String {
+    let evs: Vec<String> = (0..n)
+        .map(|i| {
+            format!(r#"{{"stream":"sensors","ts":1,"visitor":"{tag}{frame}x{i}","room":"r"}}"#)
+        })
+        .collect();
+    format!(r#"{{"op":"ingest","events":[{}]}}"#, evs.join(","))
+}
+
+/// Every visitor in room `r`, read through the JSONL plane.
+fn visitors_in_r(c: &mut Client) -> std::collections::HashSet<String> {
+    let v = c.call(r#"{"cmd":"query","q":"select ?v where { ?v room \"r\" }"}"#);
+    assert!(ok(&v), "{v}");
+    v.get("rows")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .map(|row| row.get("v").and_then(Json::as_str).unwrap().to_string())
+        .collect()
+}
+
+fn rule_setup(engine: &mut fenestra::core::Engine) {
+    engine.declare_attr("room", AttrSchema::one());
+    engine
+        .add_rules_text("rule mv:\n on sensors\n replace $(visitor).room = room")
+        .unwrap();
+}
+
+/// `Backpressure::Shed` on both planes at once, against one-slot shard
+/// queues: bursts of batch frames that touch both shards are each
+/// admitted or shed whole. Every frame gets exactly one reply, in
+/// order; the `shed` and `events` counters match the replies; and
+/// after `sync` each frame's visitors are all present (acked) or all
+/// absent (shed) — never half.
+#[test]
+fn shed_admits_or_sheds_each_frame_whole_on_both_planes() {
+    use fenestra::server::Backpressure;
+    use fenestra::wire::binary::{self, Frame};
+    const FRAMES: u64 = 300;
+    const PER: u64 = 16;
+
+    let config = ServerConfig::new("127.0.0.1:0")
+        .shards(2)
+        .queue_capacity(2)
+        .backpressure(Backpressure::Shed)
+        .setup(rule_setup);
+    let mut handle = Server::start(config).expect("start server");
+    let addr = handle.local_addr();
+
+    let mut j = Client::connect(addr);
+    let mut b = TcpStream::connect(addr).expect("connect binary");
+    b.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut burst = binary::MAGIC.to_vec();
+    for f in 0..FRAMES {
+        burst.extend(binary::encode_batch("sensors", &frame_events("b", f, PER)).unwrap());
+    }
+    let lines: Vec<String> = (0..FRAMES).map(|f| frame_line("j", f, PER)).collect();
+    // Both bursts in flight together, neither side reading replies yet.
+    b.write_all(&burst).unwrap();
+    j.out
+        .write_all((lines.join("\n") + "\n").as_bytes())
+        .unwrap();
+
+    // (acked frames, shed frames) per plane, in reply order.
+    let mut acked: Vec<(&str, u64)> = Vec::new();
+    let mut shed_events = 0u64;
+    let mut acked_events = 0u64;
+    for f in 0..FRAMES {
+        let seq = (f + 1) * PER;
+        let v = j.recv();
+        assert_eq!(v.get("seq").and_then(Json::as_u64), Some(seq), "{v}");
+        assert_eq!(v.get("count").and_then(Json::as_u64), Some(PER), "{v}");
+        if ok(&v) {
+            acked.push(("j", f));
+            acked_events += PER;
+        } else {
+            let err = v.get("error").and_then(Json::as_str).unwrap_or("");
+            assert!(err.contains("shed"), "{v}");
+            shed_events += PER;
+        }
+    }
+    for f in 0..FRAMES {
+        let seq = (f + 1) * PER;
+        match binary::read_frame(&mut b, binary::DEFAULT_MAX_FRAME).unwrap() {
+            Some(Frame::Ack { seq: s, count }) => {
+                assert_eq!((s, count), (seq, PER));
+                acked.push(("b", f));
+                acked_events += PER;
+            }
+            Some(Frame::Err { seq: s, msg }) => {
+                assert_eq!(s, seq, "{msg}");
+                assert!(msg.contains("shed"), "{msg}");
+                shed_events += PER;
+            }
+            other => panic!("frame {f}: expected Ack or Err, got {other:?}"),
+        }
+    }
+    assert!(
+        shed_events > 0,
+        "bursts against one-slot queues should shed something"
+    );
+
+    // Exactly one reply per frame: the barrier reply comes next.
+    b.write_all(&binary::encode_sync()).unwrap();
+    let f = binary::read_frame(&mut b, binary::DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!(f, Some(Frame::Synced));
+    let v = j.call(r#"{"cmd":"sync"}"#);
+    assert_eq!(v.get("synced").and_then(Json::as_bool), Some(true), "{v}");
+
+    let v = j.call(r#"{"cmd":"stats"}"#);
+    let server = v.get("server").unwrap();
+    assert_eq!(
+        server.get("shed").and_then(Json::as_u64),
+        Some(shed_events),
+        "{server}"
+    );
+    assert_eq!(
+        server.get("events").and_then(Json::as_u64),
+        Some(acked_events),
+        "{server}"
+    );
+
+    let present = visitors_in_r(&mut j);
+    let acked: std::collections::HashSet<(&str, u64)> = acked.into_iter().collect();
+    for tag in ["j", "b"] {
+        for f in 0..FRAMES {
+            let here = (0..PER)
+                .filter(|i| present.contains(&format!("{tag}{f}x{i}")))
+                .count() as u64;
+            let want = if acked.contains(&(tag, f)) { PER } else { 0 };
+            assert_eq!(
+                here, want,
+                "frame {tag}{f}: {here} of {PER} visitors present"
+            );
+        }
+    }
+    handle.shutdown();
+}
+
+/// `Backpressure::Block` on the binary plane against one-slot shard
+/// queues: several hundred pipelined frames park on full queues and
+/// retry, yet every frame is acked in order with its cumulative `seq`,
+/// the barrier proves every event applied, and the queue high-water
+/// mark shows the queues were full. Run once without a WAL (immediate
+/// acks) and once with `fsync always`, where held acks must still
+/// release in per-connection FIFO order across parked parts.
+#[test]
+fn binary_block_parks_on_full_queues_and_acks_everything_in_order() {
+    use fenestra::wire::binary::{self, Frame};
+    const FRAMES: u64 = 1000;
+    const PER: u64 = 8;
+
+    let dir = std::env::temp_dir().join(format!("fenestrad-park-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for durable in [false, true] {
+        let mut config = ServerConfig::new("127.0.0.1:0")
+            .shards(2)
+            .queue_capacity(2)
+            .setup(rule_setup);
+        if durable {
+            // fsync defaults to `always`: acks are held until durable.
+            config = config.wal_path(dir.join("log"));
+        }
+        let mut handle = Server::start(config).expect("start server");
+        let addr = handle.local_addr();
+        let mut b = TcpStream::connect(addr).expect("connect binary");
+        b.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        let mut burst = binary::MAGIC.to_vec();
+        for f in 0..FRAMES {
+            burst.extend(binary::encode_batch("sensors", &frame_events("p", f, PER)).unwrap());
+        }
+        burst.extend(binary::encode_sync());
+        b.write_all(&burst).unwrap();
+
+        for f in 0..FRAMES {
+            let frame = binary::read_frame(&mut b, binary::DEFAULT_MAX_FRAME).unwrap();
+            assert_eq!(
+                frame,
+                Some(Frame::Ack {
+                    seq: (f + 1) * PER,
+                    count: PER
+                }),
+                "durable={durable} frame {f}"
+            );
+        }
+        let frame = binary::read_frame(&mut b, binary::DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(frame, Some(Frame::Synced), "durable={durable}");
+
+        let mut j = Client::connect(addr);
+        let v = j.call(r#"{"cmd":"stats"}"#);
+        let server = v.get("server").unwrap();
+        assert_eq!(
+            server.get("events").and_then(Json::as_u64),
+            Some(FRAMES * PER),
+            "{server}"
+        );
+        assert_eq!(server.get("shed").and_then(Json::as_u64), Some(0));
+        assert_eq!(
+            server.get("queue_hwm").and_then(Json::as_u64),
+            Some(1),
+            "one-slot queues should have been seen full: {server}"
+        );
+        if durable {
+            assert_eq!(
+                server.get("acks_deferred").and_then(Json::as_u64),
+                Some(FRAMES),
+                "{server}"
+            );
+        }
+        assert_eq!(visitors_in_r(&mut j).len() as u64, FRAMES * PER);
+        handle.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
