@@ -47,10 +47,13 @@ pub struct EngineConfig {
     /// watermark advances. `None` (default) retains history forever.
     pub retention: Option<Duration>,
     /// Journal mutations in the store's in-memory WAL (the source for
-    /// snapshots, forks, and the durable log). On by default; turn off
-    /// only for throughput benchmarks that measure the engine without
-    /// any durability path — with journaling off, snapshots are empty
-    /// and [`crate::Engine::take_journal`] always returns nothing.
+    /// full-history snapshots, forks, and the durable log). On by
+    /// default. The journal grows with every transition until
+    /// [`crate::Engine::take_journal`] drains it, so turn it off when
+    /// nothing drains it: `fenestrad` journals only with `--wal`. With
+    /// journaling off, [`crate::Engine::take_journal`] always returns
+    /// nothing and [`crate::Engine::save_state`] writes the compact
+    /// snapshot of the current state.
     pub journal: bool,
 }
 

@@ -502,9 +502,16 @@ impl Engine {
         self.store.write().expect("store lock").gc(horizon)
     }
 
-    /// Save a JSON snapshot of the state repository.
+    /// Save a JSON snapshot of the state repository: the full journal
+    /// when journaling is on, otherwise the compact op sequence for the
+    /// current state (see [`Engine::save_state_compact`]), so a
+    /// journal-off engine never writes an empty snapshot.
     pub fn save_state(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        fenestra_temporal::persist::save(&self.store(), path)
+        if self.config.journal {
+            fenestra_temporal::persist::save(&self.store(), path)
+        } else {
+            self.save_state_compact(path, 0)
+        }
     }
 
     /// Save a *compact* JSON snapshot: the minimal op sequence for the
@@ -1207,6 +1214,34 @@ mod retention_tests {
         eng3.declare_attr("room", AttrSchema::one());
         eng3.push(sensor(1, "x"));
         assert!(eng3.load_state(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn journal_off_snapshot_is_compact_not_empty() {
+        let dir = std::env::temp_dir().join("fenestra-engine-persist");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("journal-off-{}.json", std::process::id()));
+
+        let mut eng = Engine::new(EngineConfig {
+            journal: false,
+            ..EngineConfig::default()
+        });
+        eng.declare_attr("room", AttrSchema::one());
+        eng.add_rules_text("rule mv:\n on sensors\n replace $(visitor).room = room")
+            .unwrap();
+        eng.run((0..10u64).map(|i| sensor(i * 10, &format!("r{i}"))));
+        eng.finish();
+        assert_eq!(eng.journal_len(), 0);
+        eng.save_state(&path).unwrap();
+
+        let loaded = fenestra_temporal::persist::load(&path).unwrap();
+        let store = eng.store();
+        let v = store.lookup_entity("v").unwrap();
+        assert_eq!(loaded.lookup_entity("v"), Some(v));
+        assert_eq!(loaded.current().value(v, "room"), Some(Value::str("r9")));
+        assert_eq!(loaded.history(v, "room"), store.history(v, "room"));
+        assert_eq!(loaded.history(v, "room").len(), 10);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -421,6 +421,11 @@ fn accept_ready(r: &mut Reactor) {
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
+                // Replies are small writes that often follow another
+                // unacknowledged one (an ack behind a watch delta);
+                // Nagle would hold them for the peer's delayed ACK.
+                // JSONL connections are handed off from here too.
+                let _ = stream.set_nodelay(true);
                 r.ctx.metrics.conns_open.fetch_add(1, Ordering::Relaxed);
                 let dest = r.rr % r.peers.len().max(1);
                 r.rr += 1;

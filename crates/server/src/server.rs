@@ -37,7 +37,7 @@ use fenestra_base::symbol::Symbol;
 use fenestra_base::time::{Duration, Interval, Timestamp};
 use fenestra_base::value::Value;
 use fenestra_core::shard::{merge_rows, partial_select};
-use fenestra_core::{Engine, EngineMetrics, QueryResult, ShardRouter, Watch};
+use fenestra_core::{Engine, EngineConfig, EngineMetrics, QueryResult, ShardRouter, Watch};
 use fenestra_obs::{EngineCounters, PipelineObs, ShardObs};
 use fenestra_query::{
     Bindings, CacheStats, CachedPlan, PhysicalPlan, PlanCache, Query, QueryOptions, WindowPhys,
@@ -55,7 +55,7 @@ use serde_json::{Map, Value as Json};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -558,6 +558,12 @@ impl Server {
             None => None,
         };
 
+        // Only a WAL drains the journal; without one, journaling would
+        // keep every transition in memory for the life of the server.
+        let engine_cfg = EngineConfig {
+            journal: engine_cfg.journal && wal_path.is_some(),
+            ..engine_cfg
+        };
         let mut engines: Vec<Engine> = (0..shards).map(|_| Engine::new(engine_cfg)).collect();
         for (i, engine) in engines.iter_mut().enumerate() {
             engine.set_obs(obs.shards[i].clone());
@@ -999,15 +1005,10 @@ impl Durability {
         }
     }
 
-    /// This shard's snapshot file, honoring the legacy single-shard
-    /// layout (bare path, no `.shard{i}` suffix).
+    /// This shard's snapshot file (see [`snapshot_file`]).
     fn snapshot_file(&self) -> Option<PathBuf> {
         let snap = self.snapshot_path.as_ref()?;
-        Some(if self.shards_total == 1 {
-            snap.clone()
-        } else {
-            shard_snapshot_path(snap, self.shard)
-        })
+        Some(snapshot_file(snap, self.shard, self.shards_total))
     }
 
     /// Refresh the segment-inventory gauges from the directory listing:
@@ -1107,11 +1108,7 @@ impl Durability {
         };
         let saved = fenestra_temporal::persist::save_compact_stamped(
             &engine.store(),
-            if self.shards_total == 1 {
-                snap.clone()
-            } else {
-                shard_snapshot_path(&snap, self.shard)
-            },
+            snapshot_file(&snap, self.shard, self.shards_total),
             next_gen,
             (self.shards_total > 1).then_some((self.shard, self.shards_total)),
             self.epoch.load(Ordering::SeqCst),
@@ -2123,21 +2120,27 @@ fn promote(rt: &FollowerRuntime) -> bool {
     true
 }
 
-/// Non-durable snapshot write: the legacy single file with one shard,
-/// shard-stamped `path.shard{i}` files with N.
+/// A shard's snapshot file: the bare `path` with one shard,
+/// `path.shard{i}` with N.
+fn snapshot_file(path: &Path, shard: u32, shards_total: u32) -> PathBuf {
+    if shards_total == 1 {
+        path.to_path_buf()
+    } else {
+        shard_snapshot_path(path, shard)
+    }
+}
+
+/// Non-durable snapshot write: the compact state at `path` with one
+/// shard, shard-stamped `path.shard{i}` files with N.
 fn snapshot(engine: &Engine, path: &Option<PathBuf>, shard: u32, shards_total: u32) {
     let Some(p) = path else { return };
-    let res = if shards_total == 1 {
-        engine.save_state(p)
-    } else {
-        fenestra_temporal::persist::save_compact_sharded(
-            &engine.store(),
-            shard_snapshot_path(p, shard),
-            0,
-            shard,
-            shards_total,
-        )
-    };
+    let res = fenestra_temporal::persist::save_compact_stamped(
+        &engine.store(),
+        snapshot_file(p, shard, shards_total),
+        0,
+        (shards_total > 1).then_some((shard, shards_total)),
+        0,
+    );
     if let Err(e) = res {
         eprintln!("fenestrad: snapshot to {} failed: {e}", p.display());
     }

@@ -8,9 +8,11 @@ use std::fmt;
 /// Interned attribute name.
 pub type AttrId = Symbol;
 
-/// Identifier of a stored fact (index into the store's arena). Ids are
-/// stable for the lifetime of the store: GC tombstones reclaimed slots
-/// instead of compacting, so a reclaimed id simply resolves to `None`.
+/// Identifier of a stored fact (index into the store's arena). An id
+/// names the same fact for as long as that fact is stored. Once GC
+/// reclaims the fact, its id resolves to `None` until a later assert
+/// reuses the slot, so ids are neither permanent nor in assertion
+/// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FactId(pub u64);
 

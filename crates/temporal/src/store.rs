@@ -31,9 +31,16 @@ pub struct ReplaceOutcome {
 /// never consults a wall clock.
 #[derive(Debug, Default)]
 pub struct TemporalStore {
-    /// Fact arena; `FactId` indexes it. GC tombstones slots to `None`
-    /// so ids stay stable.
+    /// Fact arena; `FactId` indexes it. GC empties slots to `None` and
+    /// lists them in `free` for reuse, so the arena's length tracks the
+    /// peak number of live facts, not the number ever asserted.
     pub(crate) arena: Vec<Option<StoredFact>>,
+    /// Empty arena slots, reused (last freed first) by `insert_open`.
+    free: Vec<FactId>,
+    /// Number of open facts (kept by `insert_open` / `close_fact`).
+    open_count: usize,
+    /// Number of live arena slots (kept by `insert_open` / `gc`).
+    live_count: usize,
     pub(crate) schema: Schema,
     /// Open facts per entity (deterministic iteration order).
     pub(crate) open_by_entity: BTreeMap<EntityId, BTreeSet<FactId>>,
@@ -73,7 +80,11 @@ impl TemporalStore {
         }
     }
 
-    /// An empty store that does not journal (saves memory in benches).
+    /// An empty store that does not journal. Use it whenever nothing
+    /// drains the journal with [`TemporalStore::take_journal`]:
+    /// otherwise every mutation stays in memory for the store's
+    /// lifetime. `fenestrad` runs its shards this way unless `--wal`
+    /// is given.
     pub fn without_wal() -> TemporalStore {
         TemporalStore::default()
     }
@@ -321,7 +332,7 @@ impl TemporalStore {
 
     // ----- reads ------------------------------------------------------------
 
-    /// A stored fact by id (`None` if GC'd).
+    /// A stored fact by id (`None` if GC'd and not yet reused).
     pub fn get(&self, id: FactId) -> Option<&StoredFact> {
         self.arena.get(id.0 as usize).and_then(|s| s.as_ref())
     }
@@ -369,14 +380,14 @@ impl TemporalStore {
         out
     }
 
-    /// Number of currently open facts.
+    /// Number of currently open facts. O(1).
     pub fn open_fact_count(&self) -> usize {
-        self.open_by_entity.values().map(|s| s.len()).sum()
+        self.open_count
     }
 
-    /// Number of live (non-GC'd) stored facts, open or closed.
+    /// Number of live (non-GC'd) stored facts, open or closed. O(1).
     pub fn stored_fact_count(&self) -> usize {
-        self.arena.iter().filter(|s| s.is_some()).count()
+        self.live_count
     }
 
     /// Monotone revision counter (bumps on each state change).
@@ -605,7 +616,7 @@ impl TemporalStore {
             .collect();
         let mut expired = Vec::new();
         for (attr, ttl) in ttl_attrs {
-            let victims: Vec<(EntityId, Value, Timestamp)> = self
+            let mut victims: Vec<(EntityId, Value, Timestamp)> = self
                 .open_by_attr
                 .get(&attr)
                 .map(|ids| {
@@ -622,6 +633,9 @@ impl TemporalStore {
                         .collect()
                 })
                 .unwrap_or_default();
+            // Expiry order is timestamp order, not fact-id order: ids
+            // are reused after GC and say nothing about age.
+            victims.sort_by_key(|&(e, _, at)| (at, e));
             for (e, v, at) in victims {
                 // retract_at journals the close like any retraction.
                 if self.retract_at(e, attr, v, at).is_ok() {
@@ -636,8 +650,9 @@ impl TemporalStore {
 
     /// Reclaim closed facts whose validity ended at or before `horizon`,
     /// plus all closed facts of attributes declared
-    /// [`AttrSchema::ephemeral`]. Open facts are never reclaimed. Fact
-    /// ids of reclaimed facts become dangling (lookups return `None`).
+    /// [`AttrSchema::ephemeral`]. Open facts are never reclaimed. The
+    /// slots of reclaimed facts are reused by later asserts, so a
+    /// reclaimed id resolves to `None` until it names a new fact.
     ///
     /// Returns the number of facts reclaimed.
     pub fn gc(&mut self, horizon: Timestamp) -> usize {
@@ -657,6 +672,7 @@ impl TemporalStore {
             .collect();
         for id in victims {
             let f = self.arena[id.0 as usize].take().expect("victim live");
+            self.free.push(id);
             let key = (f.fact.entity, f.fact.attr);
             if let Some(tl) = self.timelines.get_mut(&key) {
                 tl.remove(id);
@@ -673,6 +689,7 @@ impl TemporalStore {
             }
             reclaimed += 1;
         }
+        self.live_count -= reclaimed;
         self.stats.gcs += 1;
         self.stats.reclaimed += reclaimed as u64;
         reclaimed
@@ -690,13 +707,18 @@ impl TemporalStore {
     }
 
     fn insert_open(&mut self, fact: Fact, t: Timestamp, provenance: Provenance) -> FactId {
-        let id = FactId(self.arena.len() as u64);
-        self.arena.push(Some(StoredFact {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.arena.push(None);
+            FactId(self.arena.len() as u64 - 1)
+        });
+        self.arena[id.0 as usize] = Some(StoredFact {
             id,
             fact,
             validity: Interval::open(t),
             provenance,
-        }));
+        });
+        self.open_count += 1;
+        self.live_count += 1;
         let (e, a, v) = (fact.entity, fact.attr, fact.value);
         self.open_by_entity.entry(e).or_default().insert(id);
         self.open_by_attr.entry(a).or_default().insert(id);
@@ -726,6 +748,7 @@ impl TemporalStore {
             )));
         }
         let (e, a, v) = (f.fact.entity, f.fact.attr, f.fact.value);
+        self.open_count -= 1;
         if let Some(s) = self.open_by_entity.get_mut(&e) {
             s.remove(&id);
             if s.is_empty() {
@@ -1149,6 +1172,101 @@ mod compact_tests {
     }
 
     #[test]
+    fn arena_stays_within_twice_peak_live_under_retention_gc() {
+        // 1M replaces over 1000 entities, one per millisecond, with the
+        // engine's GC cadence: a 10-s retention collected every half
+        // retention.
+        const ENTITIES: u64 = 1000;
+        const RETENTION: u64 = 10_000;
+        let mut s = TemporalStore::without_wal();
+        s.declare_attr("room", AttrSchema::one());
+        let mut last_gc = 0;
+        let mut peak_live = 0;
+        for i in 1..=1_000_000u64 {
+            s.replace_at(EntityId(i % ENTITIES), "room", (i % 7) as i64, ts(i))
+                .unwrap();
+            let horizon = i.saturating_sub(RETENTION);
+            if horizon > last_gc + RETENTION / 2 {
+                last_gc = horizon;
+                s.gc(ts(horizon));
+            }
+            peak_live = peak_live.max(s.stored_fact_count());
+        }
+        assert!(s.stats().reclaimed > 900_000, "GC ran");
+        assert!(
+            s.arena.len() <= 2 * peak_live,
+            "{} arena slots for a peak of {peak_live} live facts",
+            s.arena.len()
+        );
+    }
+
+    #[test]
+    fn store_with_reused_slots_reads_like_its_compact_replay() {
+        let mut s = TemporalStore::new();
+        s.declare_attr("room", AttrSchema::one());
+        s.declare_attr("tag", AttrSchema::many());
+        let names: Vec<EntityId> = (0..5)
+            .map(|i| s.named_entity(format!("e{i}").as_str()))
+            .collect();
+        let mut t = 0;
+        for round in 0..40u64 {
+            for (i, &e) in names.iter().enumerate() {
+                t += 1;
+                s.replace_at(e, "room", (round + i as u64) as i64 % 3, ts(t))
+                    .unwrap();
+                t += 1;
+                let v = (round % 4) as i64;
+                if s.current().holds(e, "tag", v) {
+                    s.retract_at(e, "tag", v, ts(t)).unwrap();
+                } else {
+                    s.assert_at(e, "tag", v, ts(t)).unwrap();
+                }
+            }
+            if round % 5 == 4 {
+                s.gc(ts(t.saturating_sub(30)));
+            }
+        }
+        let asserted = s.stats().asserts + s.stats().replaces;
+        assert!(
+            (s.arena.len() as u64) < asserted / 2,
+            "slots were reused: {} slots for {asserted} asserted facts",
+            s.arena.len()
+        );
+
+        let r = TemporalStore::replay(&s.compact_ops()).unwrap();
+        assert_eq!(r.open_fact_count(), s.open_fact_count());
+        assert_eq!(r.stored_fact_count(), s.stored_fact_count());
+        let key = |f: &StoredFact| (f.fact, f.validity, f.provenance);
+        let mut cur: Vec<_> = s.current().facts().map(key).collect();
+        let mut rcur: Vec<_> = r.current().facts().map(key).collect();
+        cur.sort_by_key(|k| k.0);
+        rcur.sort_by_key(|k| k.0);
+        assert_eq!(cur, rcur, "current");
+        for probe in 0..=t + 1 {
+            for &e in &names {
+                for a in ["room", "tag"] {
+                    assert_eq!(
+                        r.as_of(ts(probe)).values(e, a),
+                        s.as_of(ts(probe)).values(e, a),
+                        "as_of {probe} {e} {a}"
+                    );
+                }
+            }
+        }
+        for &e in &names {
+            for a in ["room", "tag"] {
+                assert_eq!(r.history(e, a), s.history(e, a), "history {e} {a}");
+            }
+        }
+        for (from, to) in [(0, t + 1), (t - 40, t - 10), (t - 5, t + 5)] {
+            let during = |st: &TemporalStore| -> Vec<_> {
+                st.during(ts(from), ts(to)).into_iter().map(key).collect()
+            };
+            assert_eq!(during(&r), during(&s), "during [{from}, {to})");
+        }
+    }
+
+    #[test]
     fn compact_of_empty_store_is_empty() {
         assert!(TemporalStore::new().compact_ops().is_empty());
         assert_equivalent(&TemporalStore::new());
@@ -1214,6 +1332,25 @@ mod ttl_tests {
                 .ttl,
             Some(Duration::millis(5))
         );
+    }
+
+    #[test]
+    fn expiry_follows_timestamps_when_slots_are_reused() {
+        let mut s = TemporalStore::new();
+        s.declare_attr("ping", AttrSchema::many().with_ttl(Duration::millis(5)));
+        let (a, b) = (s.named_entity("a"), s.named_entity("b"));
+        for e in [a, b] {
+            s.replace_at(e, "room", "x", ts(1)).unwrap();
+            s.retract_at(e, "room", "x", ts(2)).unwrap();
+        }
+        s.gc(ts(2));
+        // The reused slots hand the later fact the lower id.
+        let first = s.assert_at(a, "ping", 1i64, ts(10)).unwrap();
+        let second = s.assert_at(b, "ping", 1i64, ts(11)).unwrap();
+        assert!(second < first, "slots reused last-freed first");
+        let expired = s.expire_ttl(ts(100));
+        let order: Vec<(EntityId, Timestamp)> = expired.iter().map(|x| (x.0, x.3)).collect();
+        assert_eq!(order, vec![(a, ts(15)), (b, ts(16))]);
     }
 
     #[test]

@@ -105,27 +105,57 @@ fn build_both(ops: &[Op]) -> (TemporalStore, Naive, u64) {
     let mut t = 0u64;
     for op in ops {
         t += 1; // strictly increasing event time
-        let ts = Timestamp::new(t);
-        match *op {
-            Op::ReplaceOne { e, v } => {
-                store.replace_at(EntityId(e), ATTR_ONE, v, ts).unwrap();
-            }
-            Op::AssertMany { e, v } => {
-                store.assert_at(EntityId(e), ATTR_MANY, v, ts).unwrap();
-            }
-            Op::RetractMany { e, v } => {
-                // Mirror the naive model: retract only if open.
-                if store.current().holds(EntityId(e), ATTR_MANY, v) {
-                    store.retract_at(EntityId(e), ATTR_MANY, v, ts).unwrap();
-                }
-            }
-            Op::RetractEntity { e } => {
-                store.retract_entity_at(EntityId(e), ts).unwrap();
-            }
-        }
+        apply_op(&mut store, op, t);
         naive.apply(op, t);
     }
     (store, naive, t)
+}
+
+fn apply_op(store: &mut TemporalStore, op: &Op, t: u64) {
+    let ts = Timestamp::new(t);
+    match *op {
+        Op::ReplaceOne { e, v } => {
+            store.replace_at(EntityId(e), ATTR_ONE, v, ts).unwrap();
+        }
+        Op::AssertMany { e, v } => {
+            store.assert_at(EntityId(e), ATTR_MANY, v, ts).unwrap();
+        }
+        Op::RetractMany { e, v } => {
+            // Mirror the naive model: retract only if open.
+            if store.current().holds(EntityId(e), ATTR_MANY, v) {
+                store.retract_at(EntityId(e), ATTR_MANY, v, ts).unwrap();
+            }
+        }
+        Op::RetractEntity { e } => {
+            store.retract_entity_at(EntityId(e), ts).unwrap();
+        }
+    }
+}
+
+/// A store operation, or a GC pass whose horizon trails the current
+/// time by `back`.
+#[derive(Debug, Clone)]
+enum Step {
+    Op(Op),
+    Gc { back: u64 },
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    // One step in five is a GC pass.
+    (0..5u8, op_strategy(), 0..10u64).prop_map(|(pick, op, back)| match pick {
+        0 => Step::Gc { back },
+        _ => Step::Op(op),
+    })
+}
+
+/// The fact counts recomputed by walking the store: open facts through
+/// the current view, stored facts through every timeline.
+fn walked_counts(store: &TemporalStore) -> (usize, usize) {
+    let open = store.current().facts().count();
+    let stored = (0..4u64)
+        .flat_map(|e| [ATTR_ONE, ATTR_MANY].map(|a| store.history(EntityId(e), a).len()))
+        .sum();
+    (open, stored)
 }
 
 fn store_values_at(store: &TemporalStore, e: u64, a: &str, t: u64) -> Vec<i64> {
@@ -260,6 +290,51 @@ proptest! {
                         store_values_at(&store, e, a, t),
                         store_values_at(&pristine, e, a, t),
                         "post-horizon as-of drifted at t={}", t
+                    );
+                }
+            }
+        }
+    }
+
+    /// The O(1) fact counters agree with walks of the store after
+    /// every step, GC (and so arena-slot reuse) included, and a store
+    /// with reused slots reads exactly like the replay of its compact
+    /// ops.
+    #[test]
+    fn counters_match_walks_under_gc_and_slot_reuse(
+        steps in prop::collection::vec(step_strategy(), 1..120)
+    ) {
+        let mut store = TemporalStore::new();
+        store.declare_attr(ATTR_ONE, AttrSchema::one());
+        store.declare_attr(ATTR_MANY, AttrSchema::many());
+        let mut t = 0u64;
+        for step in &steps {
+            t += 1;
+            match step {
+                Step::Op(op) => apply_op(&mut store, op, t),
+                Step::Gc { back } => {
+                    store.gc(Timestamp::new(t.saturating_sub(*back)));
+                }
+            }
+            prop_assert_eq!(
+                (store.open_fact_count(), store.stored_fact_count()),
+                walked_counts(&store),
+                "after {:?} at t={}", step, t
+            );
+        }
+        let compact = TemporalStore::replay(&store.compact_ops()).unwrap();
+        prop_assert_eq!(compact.open_fact_count(), store.open_fact_count());
+        prop_assert_eq!(compact.stored_fact_count(), store.stored_fact_count());
+        for e in 0..4u64 {
+            for a in [ATTR_ONE, ATTR_MANY] {
+                prop_assert_eq!(
+                    compact.history(EntityId(e), a),
+                    store.history(EntityId(e), a)
+                );
+                for probe in 0..=t + 1 {
+                    prop_assert_eq!(
+                        store_values_at(&compact, e, a, probe),
+                        store_values_at(&store, e, a, probe)
                     );
                 }
             }

@@ -1104,3 +1104,101 @@ fn binary_block_parks_on_full_queues_and_acks_everything_in_order() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Without a WAL nothing drains the shards' journals, so they must not
+/// journal at all: memory is bounded by the retained state, not by the
+/// number of events ever ingested.
+#[test]
+fn shards_without_wal_keep_no_journal() {
+    use std::sync::{Arc, Mutex};
+    const EVENTS: u64 = 100_000;
+    const PER: u64 = 1000;
+
+    let stores = Arc::new(Mutex::new(Vec::new()));
+    let config = ServerConfig::new("127.0.0.1:0").shards(2).setup({
+        let stores = stores.clone();
+        move |engine| {
+            rule_setup(engine);
+            stores.lock().unwrap().push(engine.shared_store());
+        }
+    });
+    let mut handle = Server::start(config).expect("start server");
+    let mut c = Client::connect(handle.local_addr());
+    for f in 0..EVENTS / PER {
+        let evs: Vec<String> = (0..PER)
+            .map(|i| {
+                let ts = f * PER + i + 1;
+                format!(
+                    r#"{{"stream":"sensors","ts":{ts},"visitor":"v{}","room":"r{}"}}"#,
+                    i % 500,
+                    ts % 7
+                )
+            })
+            .collect();
+        c.send(&format!(
+            r#"{{"op":"ingest","events":[{}]}}"#,
+            evs.join(",")
+        ));
+    }
+    for _ in 0..EVENTS / PER {
+        let v = c.recv();
+        assert!(ok(&v), "{v}");
+    }
+    let v = c.call(r#"{"cmd":"sync"}"#);
+    assert_eq!(v.get("synced").and_then(Json::as_bool), Some(true), "{v}");
+
+    let stores = stores.lock().unwrap();
+    assert_eq!(stores.len(), 2);
+    let mut facts = 0;
+    for store in stores.iter() {
+        let store = store.read().unwrap();
+        assert_eq!(store.journal_len(), 0, "no WAL, no journal");
+        facts += store.stored_fact_count();
+    }
+    assert!(
+        facts as u64 > EVENTS / 2,
+        "the events were applied: {facts}"
+    );
+    handle.shutdown();
+}
+
+/// Replies are written with `TCP_NODELAY`. An event's ack and the
+/// watch delta it causes are two small writes; with Nagle on, the
+/// second waits for the client's delayed ACK (40 ms on Linux) of the
+/// first. Each round here is an event, its delta, then a query; the
+/// client is plain (no `TCP_NODELAY`, no `TCP_QUICKACK`).
+#[test]
+fn event_delta_query_round_is_not_held_by_nagle() {
+    const ROUNDS: u64 = 30;
+    let mut handle = Server::start(ServerConfig::new("127.0.0.1:0").setup(rule_setup)).unwrap();
+    let mut c = Client::connect(handle.local_addr());
+    let v = c.call(r#"{"cmd":"watch","name":"lab","q":"select ?v where { ?v room \"lab\" }"}"#);
+    assert_eq!(v.get("watch").and_then(Json::as_str), Some("lab"), "{v}");
+
+    // One write per line: `writeln!` would split off the newline, and
+    // the client's own Nagle would then hold it.
+    let send = |c: &mut Client, line: &str| c.out.write_all(format!("{line}\n").as_bytes());
+    let mut rtts = Vec::new();
+    for i in 0..ROUNDS {
+        let t0 = std::time::Instant::now();
+        send(&mut c, &event(1000 + i, &format!("v{i}"), "lab")).unwrap();
+        let (_ack, delta) = c.recv_until(|v| v.get("watch").is_some());
+        assert_eq!(delta.get("sign").and_then(Json::as_i64), Some(1), "{delta}");
+        send(
+            &mut c,
+            r#"{"cmd":"query","q":"select ?v where { ?v room \"lab\" }"}"#,
+        )
+        .unwrap();
+        let (_, rows) = c.recv_until(|v| v.get("rows").is_some());
+        rtts.push(t0.elapsed());
+        let n = rows.get("rows").and_then(Json::as_array).unwrap().len();
+        assert_eq!(n as u64, i + 1, "{rows}");
+    }
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(20),
+        "median event → delta → query round {median:?} is near the delayed-ACK time: {rtts:?}"
+    );
+    handle.shutdown();
+}
