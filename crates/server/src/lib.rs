@@ -187,6 +187,8 @@
 
 pub(crate) mod admit;
 pub mod config;
+#[cfg(test)]
+mod golden;
 pub mod metrics;
 pub mod prom;
 pub mod proto;

@@ -2350,7 +2350,12 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: Arc<ConnCtx>, conn_id: u64, pr
                 // Lock-light: built here, on the connection thread,
                 // from published atomics. No shard round-trip — a
                 // stats poller can never slow or stall ingest.
-                let _ = out_tx.send(build_stats(&ctx));
+                let _ = out_tx.send(build_stats(
+                    &ctx.metrics,
+                    &ctx.obs,
+                    &ctx.plans.stats(),
+                    ctx.repl.is_some(),
+                ));
             }
             Request::Sync => {
                 fan_out_sync(&ctx, &out_tx);
@@ -2631,10 +2636,15 @@ pub(crate) fn counters_to_metrics(c: &EngineCounters) -> EngineMetrics {
 /// stage-latency histograms, and a per-shard breakdown (counters,
 /// gauges, stages). No locks beyond relaxed loads, no shard
 /// round-trip; see `fenestra-wire`'s stats schema docs.
-fn build_stats(ctx: &ConnCtx) -> String {
+pub(crate) fn build_stats(
+    metrics: &ServerMetrics,
+    obs: &PipelineObs,
+    plans: &CacheStats,
+    repl: bool,
+) -> String {
     let mut merged = EngineMetrics::default();
-    let mut per_shard = Vec::with_capacity(ctx.obs.shards.len());
-    for (i, sh) in ctx.obs.shards.iter().enumerate() {
+    let mut per_shard = Vec::with_capacity(obs.shards.len());
+    for (i, sh) in obs.shards.iter().enumerate() {
         let em = counters_to_metrics(&sh.engine.load());
         merged.merge(&em);
         let mut obj = Map::new();
@@ -2657,14 +2667,14 @@ fn build_stats(ctx: &ConnCtx) -> String {
         "engine".into(),
         fenestra_wire::metrics::metrics_json_value(&merged),
     );
-    obj.insert("server".into(), ctx.metrics.json_value());
-    obj.insert("stages".into(), ctx.obs.merged_stages_json());
-    obj.insert("plans".into(), plans_json(ctx));
+    obj.insert("server".into(), metrics.json_value());
+    obj.insert("stages".into(), obs.merged_stages_json());
+    obj.insert("plans".into(), plans_json(obs, plans));
     obj.insert("shards".into(), Json::Array(per_shard));
     // Present only when replication is configured, so a plain server's
     // stats schema is unchanged.
-    if ctx.repl.is_some() {
-        obj.insert("replication".into(), ctx.obs.repl.json());
+    if repl {
+        obj.insert("replication".into(), obs.repl.json());
     }
     Json::Object(obj).to_string()
 }
@@ -2672,15 +2682,14 @@ fn build_stats(ctx: &ConnCtx) -> String {
 /// The `plans` stats section: plan-cache counters plus compile/exec
 /// latency summaries —
 /// `{"cache":{"hits":…,"misses":…,"entries":…},"compile_us":{…},"exec_us":{…}}`.
-fn plans_json(ctx: &ConnCtx) -> Json {
-    let cs = ctx.plans.stats();
+fn plans_json(obs: &PipelineObs, cs: &CacheStats) -> Json {
     let mut cache = Map::new();
     cache.insert("hits".into(), Json::from(cs.hits));
     cache.insert("misses".into(), Json::from(cs.misses));
     cache.insert("entries".into(), Json::from(cs.entries));
     let mut obj = Map::new();
     obj.insert("cache".into(), Json::Object(cache));
-    if let Json::Object(hists) = ctx.obs.plan.json() {
+    if let Json::Object(hists) = obs.plan.json() {
         for (k, v) in hists {
             obj.insert(k, v);
         }

@@ -212,3 +212,37 @@ fn inspect_summarizes_snapshot() {
     assert!(stdout.contains("open facts:       1"), "{stdout}");
     assert!(stdout.contains("room"), "{stdout}");
 }
+
+/// Golden: the whole `--metrics-json` line of a fixed run, pinning the
+/// engine counters' names, order and values.
+#[test]
+fn metrics_json_line_matches_golden() {
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data");
+    let out = Command::new(bin())
+        .args([
+            "run",
+            "--rules",
+            &format!("{data}/catalog.rules"),
+            "--events",
+            &format!("{data}/catalog.jsonl"),
+            "--ontology",
+            &format!("{data}/taxonomy.ont"),
+            "--metrics-json",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        concat!(
+            r#"{"events":4,"late_dropped":0,"rule_fired":4,"transitions":4,"#,
+            r#""guard_blocked":0,"rule_errors":0,"reason_asserted":8,"#,
+            r#""reason_retracted":0,"reason_syncs":4,"ttl_expired":0}"#,
+            "\n"
+        )
+    );
+}
