@@ -1,13 +1,12 @@
 //! The integrated engine.
 
 use crate::config::{EngineConfig, Semantics};
-use crate::metrics::EngineMetrics;
 use fenestra_base::error::{Error, Result};
 use fenestra_base::record::Event;
 use fenestra_base::symbol::Symbol;
 use fenestra_base::time::{Duration, Interval, Timestamp};
 use fenestra_base::value::Value;
-use fenestra_obs::{EngineCounters, ShardObs};
+use fenestra_obs::{EngineMetrics, ShardObs};
 use fenestra_query::QueryOptions;
 use fenestra_reason::store_sync::sync_store;
 use fenestra_reason::Ontology;
@@ -307,19 +306,7 @@ impl Engine {
         let Some(obs) = &self.obs else {
             return;
         };
-        let m = self.metrics();
-        obs.engine.store(&EngineCounters {
-            events: m.events,
-            late_dropped: m.late_dropped,
-            rule_fired: m.rule_fired,
-            transitions: m.transitions,
-            guard_blocked: m.guard_blocked,
-            rule_errors: m.rule_errors,
-            reason_asserted: m.reason_asserted,
-            reason_retracted: m.reason_retracted,
-            reason_syncs: m.reason_syncs,
-            ttl_expired: m.ttl_expired,
-        });
+        obs.engine.store(&self.metrics());
         use std::sync::atomic::Ordering::Relaxed;
         obs.reorder_depth.store(self.buffer.len() as u64, Relaxed);
         let lag = match (self.wm.max_seen(), self.wm.current()) {

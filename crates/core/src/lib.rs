@@ -33,12 +33,11 @@
 
 pub mod config;
 pub mod engine;
-pub mod metrics;
 pub mod shard;
 pub mod watch;
 
 pub use config::{EngineConfig, Semantics};
 pub use engine::{Engine, QueryResult};
-pub use metrics::EngineMetrics;
+pub use fenestra_obs::EngineMetrics;
 pub use shard::{default_shards, ShardRouter, ShardedEngine};
 pub use watch::{Watch, WatchDelta};

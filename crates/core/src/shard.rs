@@ -17,7 +17,7 @@
 
 use crate::config::EngineConfig;
 use crate::engine::{Engine, QueryResult};
-use crate::metrics::EngineMetrics;
+use crate::EngineMetrics;
 use fenestra_base::error::{Error, Result};
 use fenestra_base::expr::Expr;
 use fenestra_base::record::{Event, StreamId};

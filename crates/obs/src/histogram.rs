@@ -3,10 +3,12 @@
 //! Values land in power-of-two (log2) buckets: bucket 0 holds exactly
 //! the value 0, bucket `i` (i ≥ 1) holds values in `[2^(i-1), 2^i)`.
 //! 65 buckets cover the whole `u64` range, so recording never clamps
-//! or saturates. Recording is a single relaxed `fetch_add` per bucket
-//! plus count/sum updates and a `fetch_max` for the true maximum —
-//! there are no locks anywhere, so hot paths (shard loops, WAL
-//! writers) can record without contending with metrics readers.
+//! or saturates. Recording is a relaxed `fetch_add` on one bucket and
+//! on the sum plus a `fetch_max` for the true maximum — there are no
+//! locks anywhere, so hot paths (shard loops, WAL writers) can record
+//! without contending with metrics readers. There is no separate count:
+//! a snapshot's `count` is the sum of the buckets it read, so the two
+//! can never disagree (a Prometheus `le` bucket above `+Inf`).
 //!
 //! Readers take a [`HistogramSnapshot`] — a plain `Copy`-free struct of
 //! `u64`s — and can [`HistogramSnapshot::merge`] per-shard snapshots
@@ -48,7 +50,6 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 /// monitoring and converges as soon as the writer finishes.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -64,7 +65,6 @@ impl Histogram {
     pub fn new() -> Histogram {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -74,16 +74,18 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of all counters.
+    /// A point-in-time copy of all counters; `count` is the sum of the
+    /// buckets read.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: [u64; BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
+            buckets,
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }
@@ -274,5 +276,41 @@ mod tests {
             assert!(j.get(key).is_some(), "{key}");
         }
         assert_eq!(j.get("mean").and_then(|v| v.as_f64()), Some(3.0));
+    }
+
+    /// Concurrent recorders never leave a snapshot whose buckets and
+    /// `count` disagree: a cumulative `le` bucket above `+Inf` is
+    /// invalid Prometheus exposition.
+    #[test]
+    fn snapshots_under_concurrent_recording_are_consistent() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        let h = Arc::new(Histogram::new());
+        let stop = Arc::new(AtomicBool::new(false));
+        let recorders: Vec<_> = (0..2u64)
+            .map(|t| {
+                let (h, stop) = (h.clone(), stop.clone());
+                std::thread::spawn(move || {
+                    let mut v = t;
+                    while !stop.load(Ordering::Relaxed) {
+                        h.record(v % 5000);
+                        v += 7;
+                    }
+                })
+            })
+            .collect();
+        let mut torn = 0;
+        for _ in 0..200_000 {
+            let s = h.snapshot();
+            if s.buckets.iter().sum::<u64>() != s.count {
+                torn += 1;
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        for r in recorders {
+            r.join().unwrap();
+        }
+        assert!(h.snapshot().count > 0);
+        assert_eq!(torn, 0, "snapshots with count != sum of buckets");
     }
 }

@@ -1,25 +1,26 @@
 //! # fenestra-obs — pipeline observability
 //!
-//! Lock-free latency histograms and per-shard gauges for the ingest
-//! pipeline. The event lifecycle fenestrad instruments with these:
+//! Lock-free latency histograms, gauges and counters for the ingest
+//! pipeline, each declared once in the metric registry
+//! ([`metrics!`]). An event crosses these stages, each timed by a
+//! histogram (the declarations in [`PipelineObs`] and [`ShardObs`]
+//! name and describe them):
 //!
 //! ```text
-//! socket read → stage/route/enqueue  (admit_us, server-wide)
-//!             → ingest-queue wait    (queue_wait_us, per shard)
-//!             → reorder-buffer dwell (reorder_dwell_us, per shard)
-//!             → WAL append           (wal_append_us, per shard)
-//!             → fsync                (fsync_us, per shard)
-//!             → durable-ack release  (ack_hold_us, per shard)
+//! socket read → decode (binary plane) → stage/route/enqueue (admission)
+//!             → ingest-queue wait → reorder-buffer dwell
+//!             → WAL append → fsync → durable-ack release
 //! ```
 //!
-//! plus a lateness-margin histogram (`late_margin_ms`) that records
-//! *how far* behind the watermark each dropped event was — turning
-//! "why were 59% of events dropped?" into a distribution query.
+//! plus a lateness-margin histogram that records *how far* behind the
+//! watermark each dropped event was — turning "why were 59% of events
+//! dropped?" into a distribution query.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Never block the hot path.** Histograms are fixed arrays of
-//!    relaxed atomics ([`Histogram`]); recording is a few `fetch_add`s.
+//!    relaxed atomics ([`Histogram`]); recording is a few `fetch_add`s
+//!    on a named field, never a lookup through the registry.
 //! 2. **Metrics reads don't touch the pipeline.** Readers snapshot
 //!    atomics; they never take the engine lock or enqueue through the
 //!    shard queues.
@@ -35,8 +36,8 @@
 
 mod histogram;
 mod pipeline;
+mod registry;
 
 pub use histogram::{bucket_upper_bound, Histogram, HistogramSnapshot, BUCKETS};
-pub use pipeline::{
-    EngineCounters, EngineGauges, PipelineObs, PlanObs, ReplObs, ShardObs, WalObs, STAGES,
-};
+pub use pipeline::{EngineGauges, EngineMetrics, PipelineObs, PlanObs, ReplObs, ShardObs, WalObs};
+pub use registry::{Kind, Metric, Reading, Readings};

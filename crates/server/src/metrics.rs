@@ -1,81 +1,76 @@
-//! Server-side observability counters.
+//! Server-side observability counters, declared through the
+//! [`fenestra_obs::metrics!`] registry.
 //!
 //! Engine counters live in [`fenestra_core::EngineMetrics`]; these
 //! cover the network layer. All fields are atomics so connection
 //! threads update them without locks; the `stats` command reads a
 //! consistent-enough snapshot.
 
-use serde_json::{Map, Value as Json};
-use std::sync::atomic::{AtomicU64, Ordering};
+use fenestra_query::CacheStats;
+use serde_json::Value as Json;
+use std::sync::atomic::Ordering;
 
-/// Monotonic counters for the server's network layer.
-#[derive(Debug, Default)]
-pub struct ServerMetrics {
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Connections currently open, either plane (gauge).
-    pub conns_open: AtomicU64,
-    /// Open connections that negotiated the binary plane via the
-    /// `FNB1` magic (gauge; subset of `conns_open`).
-    pub conns_binary: AtomicU64,
-    /// Bytes read off sockets (including line terminators).
-    pub bytes_in: AtomicU64,
-    /// Bytes written to sockets (including line terminators).
-    pub bytes_out: AtomicU64,
-    /// High-water mark of the ingest queue depth.
-    pub queue_hwm: AtomicU64,
-    /// Queries served (`query` commands, successful or not).
-    pub queries: AtomicU64,
-    /// Events dropped by the [`crate::Backpressure::Shed`] policy.
-    pub shed: AtomicU64,
-    /// Events accepted into the ingest queue.
-    pub events: AtomicU64,
-    /// Watches registered.
-    pub watches: AtomicU64,
-    /// Events acked into the queue but dropped by the engine as beyond
-    /// the lateness bound. An ack means *admitted*, not *applied*; this
-    /// counter is how admitted-but-discarded events become visible.
-    pub late_dropped: AtomicU64,
-    /// Ingest batches applied by the engine thread (each = one apply
-    /// pass + one WAL frame + one fsync under `always` + one watch
-    /// poll, however many events it covered).
-    pub ingest_batches: AtomicU64,
-    /// Events covered by those batches (mean batch size =
-    /// `ingest_batched_events / ingest_batches`).
-    pub ingest_batched_events: AtomicU64,
-    /// Largest single ingest batch applied.
-    pub ingest_batch_max: AtomicU64,
-    /// WAL commits that covered more than one event — true group
-    /// commits, where the fsync was amortized.
-    pub group_commits: AtomicU64,
-    /// Ingest frames admitted with their ack held back until durable
-    /// (`--fsync always`): released, in per-connection FIFO order,
-    /// once a WAL fsync covers every event of the frame — with a
-    /// lateness bound, only after the watermark passes it. Shed frames
-    /// are not counted; their ack was never deferred.
-    pub acks_deferred: AtomicU64,
-    /// Deferred acks resolved: the held line (ack or, on WAL failure,
-    /// an error) was handed to its connection's writer. Steady-state,
-    /// `acks_deferred - acks_released` is the number of in-flight
-    /// held acks across all connections.
-    pub acks_released: AtomicU64,
-    /// Durable WAL: op batches appended.
-    pub wal_appends: AtomicU64,
-    /// Durable WAL: payload bytes appended (frame headers included).
-    pub wal_bytes: AtomicU64,
-    /// Durable WAL: fsync calls issued.
-    pub fsyncs: AtomicU64,
-    /// Ops replayed from snapshot + WAL tail during boot recovery.
-    pub recovered_ops: AtomicU64,
-    /// Wall-clock milliseconds spent in boot recovery.
-    pub recovery_ms: AtomicU64,
-    /// Bytes of torn/corrupt WAL tail discarded during recovery.
-    pub wal_discarded_bytes: AtomicU64,
-    /// Ops discarded during recovery (decoded but unreplayable).
-    pub wal_discarded_ops: AtomicU64,
-    /// Closed facts reclaimed by horizon GC (`--gc-horizon-ms`),
-    /// summed across shards.
-    pub gc_removed: AtomicU64,
+fenestra_obs::metrics! {
+    /// Monotonic counters for the server's network layer.
+    pub struct ServerMetrics {
+        fn readings in "server" {
+            connections: counter "Connections accepted",
+            conns_open: gauge "Connections currently open, either wire plane",
+            /// Negotiated via the `FNB1` magic; a subset of `conns_open`.
+            conns_binary: gauge "Open connections that negotiated the binary plane",
+            /// Line terminators included.
+            bytes_in: counter "Bytes read off sockets",
+            /// Line terminators included.
+            bytes_out: counter "Bytes written to sockets",
+            queue_hwm: gauge "High-water mark of ingest queue depth across shards",
+            /// `query` commands, successful or not.
+            queries: counter "Queries served",
+            /// By the [`crate::Backpressure::Shed`] policy.
+            shed: counter "Events shed under backpressure",
+            events: counter "Events admitted into the ingest queues",
+            watches: counter "Watches registered",
+            /// An ack means *admitted*, not *applied*; this counter is
+            /// how admitted-but-discarded events become visible.
+            late_dropped: counter "Admitted events dropped as beyond the lateness bound",
+            /// Each is one apply pass + one WAL frame + one fsync under
+            /// `always` + one watch poll, however many events it covered.
+            ingest_batches: counter "Group-commit batches applied",
+            ingest_batched_events: counter "Events covered by group-commit batches",
+            ingest_batch_max: gauge "Largest single ingest batch applied",
+            ingest_batch_mean: derived ServerMetrics::batch_mean,
+            /// True group commits, where the fsync was amortized.
+            group_commits: counter "WAL commits covering more than one event",
+            /// Under `--fsync always`: released, in per-connection FIFO
+            /// order, once a WAL fsync covers every event of the frame
+            /// (with a lateness bound, only after the watermark passes
+            /// it). Shed frames are not counted.
+            acks_deferred: counter "Ingest frames admitted with their ack held for durability",
+            /// Steady-state, `acks_deferred - acks_released` is the
+            /// number of in-flight held acks across all connections.
+            acks_released: counter "Deferred acks resolved (ack or failure line sent)",
+            wal_appends: counter "WAL op batches appended",
+            /// Frame headers included.
+            wal_bytes: counter "WAL payload bytes appended",
+            fsyncs: counter "WAL fsync calls issued",
+            /// From snapshot + WAL tail.
+            recovered_ops: gauge "Ops replayed during boot recovery",
+            recovery_ms: gauge "Wall-clock milliseconds spent in boot recovery",
+            wal_discarded_bytes: gauge "Torn WAL tail bytes discarded during recovery",
+            /// Decoded but unreplayable.
+            wal_discarded_ops: gauge "WAL ops discarded during recovery",
+            /// By `--gc-horizon-ms`, summed across shards.
+            gc_removed: counter "Closed facts reclaimed by horizon GC",
+        }
+    }
+}
+
+fenestra_obs::metrics! {
+    /// The plan cache's counters, read from [`fenestra_query::PlanCache::stats`].
+    pub fn plan_cache(CacheStats) in "plan_cache" {
+        hits: counter "Query statements served by an already-compiled plan",
+        misses: counter "Query statements that ran the planner (parse, rewrite, lower)",
+        entries: gauge "Distinct statements currently held in the plan cache",
+    }
 }
 
 impl ServerMetrics {
@@ -92,51 +87,17 @@ impl ServerMetrics {
         self.ingest_batch_max.fetch_max(events, Ordering::Relaxed);
     }
 
-    /// Counter snapshot as a JSON object (embedded in `stats` replies).
-    pub fn json_value(&self) -> Json {
-        let mut obj = Map::new();
-        let get = |a: &AtomicU64| Json::from(a.load(Ordering::Relaxed));
-        obj.insert("connections".into(), get(&self.connections));
-        obj.insert("conns_open".into(), get(&self.conns_open));
-        obj.insert("conns_binary".into(), get(&self.conns_binary));
-        obj.insert("bytes_in".into(), get(&self.bytes_in));
-        obj.insert("bytes_out".into(), get(&self.bytes_out));
-        obj.insert("queue_hwm".into(), get(&self.queue_hwm));
-        obj.insert("queries".into(), get(&self.queries));
-        obj.insert("shed".into(), get(&self.shed));
-        obj.insert("events".into(), get(&self.events));
-        obj.insert("watches".into(), get(&self.watches));
-        obj.insert("late_dropped".into(), get(&self.late_dropped));
-        obj.insert("ingest_batches".into(), get(&self.ingest_batches));
-        obj.insert(
-            "ingest_batched_events".into(),
-            get(&self.ingest_batched_events),
-        );
-        obj.insert("ingest_batch_max".into(), get(&self.ingest_batch_max));
+    /// Mean events per applied batch, to two decimals.
+    fn batch_mean(&self) -> Json {
         let batches = self.ingest_batches.load(Ordering::Relaxed);
-        let batch_mean = if batches > 0 {
+        let mean = if batches > 0 {
             self.ingest_batched_events.load(Ordering::Relaxed) as f64 / batches as f64
         } else {
             0.0
         };
-        obj.insert(
-            "ingest_batch_mean".into(),
-            serde_json::Number::from_f64((batch_mean * 100.0).round() / 100.0)
-                .map(Json::Number)
-                .unwrap_or(Json::Null),
-        );
-        obj.insert("group_commits".into(), get(&self.group_commits));
-        obj.insert("acks_deferred".into(), get(&self.acks_deferred));
-        obj.insert("acks_released".into(), get(&self.acks_released));
-        obj.insert("wal_appends".into(), get(&self.wal_appends));
-        obj.insert("wal_bytes".into(), get(&self.wal_bytes));
-        obj.insert("fsyncs".into(), get(&self.fsyncs));
-        obj.insert("recovered_ops".into(), get(&self.recovered_ops));
-        obj.insert("recovery_ms".into(), get(&self.recovery_ms));
-        obj.insert("wal_discarded_bytes".into(), get(&self.wal_discarded_bytes));
-        obj.insert("wal_discarded_ops".into(), get(&self.wal_discarded_ops));
-        obj.insert("gc_removed".into(), get(&self.gc_removed));
-        Json::Object(obj)
+        serde_json::Number::from_f64((mean * 100.0).round() / 100.0)
+            .map(Json::Number)
+            .unwrap_or(Json::Null)
     }
 }
 
@@ -162,48 +123,10 @@ mod tests {
         assert_eq!(m.ingest_batches.load(Ordering::Relaxed), 3);
         assert_eq!(m.ingest_batched_events.load(Ordering::Relaxed), 12);
         assert_eq!(m.ingest_batch_max.load(Ordering::Relaxed), 7);
-        let v = m.json_value();
+        let v = m.readings().json();
         assert_eq!(
             v.get("ingest_batch_mean").and_then(|x| x.as_f64()),
             Some(4.0)
         );
-    }
-
-    #[test]
-    fn json_has_all_counters() {
-        let m = ServerMetrics::default();
-        m.connections.fetch_add(2, Ordering::Relaxed);
-        let v = m.json_value();
-        for key in [
-            "connections",
-            "conns_open",
-            "conns_binary",
-            "bytes_in",
-            "bytes_out",
-            "queue_hwm",
-            "queries",
-            "shed",
-            "events",
-            "watches",
-            "late_dropped",
-            "ingest_batches",
-            "ingest_batched_events",
-            "ingest_batch_max",
-            "ingest_batch_mean",
-            "group_commits",
-            "acks_deferred",
-            "acks_released",
-            "wal_appends",
-            "wal_bytes",
-            "fsyncs",
-            "recovered_ops",
-            "recovery_ms",
-            "wal_discarded_bytes",
-            "wal_discarded_ops",
-            "gc_removed",
-        ] {
-            assert!(v.get(key).is_some(), "{key}");
-        }
-        assert_eq!(v.get("connections").and_then(|x| x.as_u64()), Some(2));
     }
 }

@@ -1,9 +1,10 @@
 //! Prometheus text exposition (format 0.0.4), hand-rolled.
 //!
-//! One function renders the whole scrape body from published atomics:
-//! the server's network counters, per-shard engine counters and
-//! pipeline gauges, and every stage-latency histogram with a
-//! `shard="N"` label. No HTTP or metrics dependency — the format is a
+//! One function renders the whole scrape body from published atomics
+//! by walking the groups of the [`fenestra_obs::metrics!`] registry:
+//! one family per declared metric, named `fenestra_<group>_<key>`
+//! (`_total` for counters), per-shard groups with a `shard="N"` label.
+//! No HTTP or metrics dependency — the format is a
 //! stable line protocol and the server only ever serves one route
 //! (`GET /metrics`, see the listener in [`crate::server`]).
 //!
@@ -14,79 +15,100 @@
 //! series). Scrapes read relaxed atomics only; a scraper can never
 //! block ingest.
 
-use crate::metrics::ServerMetrics;
-use fenestra_obs::{bucket_upper_bound, HistogramSnapshot, PipelineObs, BUCKETS, STAGES};
+use crate::metrics::{plan_cache, ServerMetrics};
+use fenestra_obs::{
+    bucket_upper_bound, HistogramSnapshot, Kind, PipelineObs, Reading, Readings, ShardObs, BUCKETS,
+};
 use fenestra_query::CacheStats;
 use std::fmt::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
+
+/// One declared group's reads: a single unlabeled entry, or one per
+/// shard labeled with the shard id.
+type Series = Vec<(Option<usize>, Readings)>;
 
 /// Render the complete `/metrics` body.
 pub fn render_prometheus(metrics: &ServerMetrics, obs: &PipelineObs, plans: &CacheStats) -> String {
     let mut out = String::with_capacity(16 * 1024);
-    server_metrics(&mut out, metrics);
-    shard_gauges(&mut out, obs);
-    engine_counters(&mut out, obs);
-    repl_metrics(&mut out, obs);
-    plan_metrics(&mut out, obs, plans);
-    histogram(
-        &mut out,
-        "fenestra_stage_admit_us",
-        "Time from staging the first ingest frame of a flush to handing its last part to a shard queue (microseconds)",
-        &[(None, obs.admit_us.snapshot())],
-    );
-    histogram(
-        &mut out,
-        "fenestra_stage_decode_us",
-        "Time decoding one binary-plane frame out of a connection's read buffer (microseconds)",
-        &[(None, obs.decode_us.snapshot())],
-    );
-    histogram(
-        &mut out,
-        "fenestra_stage_reactor_dispatch_us",
-        "Time one reactor spent servicing a single connection readiness event (microseconds)",
-        &[(None, obs.reactor_dispatch_us.snapshot())],
-    );
-    for stage in STAGES {
-        let series: Vec<(Option<usize>, HistogramSnapshot)> = obs
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, sh)| (Some(i), sh.stage(stage).snapshot()))
-            .collect();
-        let (name, help) = stage_family(stage);
-        histogram(&mut out, name, help, &series);
+    for series in groups(metrics, obs) {
+        families(&mut out, &series);
     }
+    plan_metrics(&mut out, obs, plans);
     out
 }
 
-/// Metric family name and help text for one [`STAGES`] entry.
-fn stage_family(stage: &str) -> (&'static str, &'static str) {
-    match stage {
-        "queue_wait_us" => (
-            "fenestra_stage_queue_wait_us",
-            "Time an ingest command waited in its shard queue before dequeue (microseconds)",
-        ),
-        "reorder_dwell_us" => (
-            "fenestra_stage_reorder_dwell_us",
-            "Time an event dwelt in the reorder buffer before the watermark released it (microseconds)",
-        ),
-        "wal_append_us" => (
-            "fenestra_stage_wal_append_us",
-            "Time writing one WAL frame, excluding fsync (microseconds)",
-        ),
-        "fsync_us" => (
-            "fenestra_stage_fsync_us",
-            "Time in WAL fsync (microseconds)",
-        ),
-        "ack_hold_us" => (
-            "fenestra_stage_ack_hold_us",
-            "Time from frame admission to durable-ack release (microseconds)",
-        ),
-        "late_margin_ms" => (
-            "fenestra_late_margin_ms",
-            "How far behind the shard watermark each dropped-as-late event arrived (milliseconds)",
-        ),
-        other => panic!("unknown stage `{other}`"),
+/// Every declared group except the planner's, read once.
+fn groups(metrics: &ServerMetrics, obs: &PipelineObs) -> [Series; 6] {
+    let shards = |read: &dyn Fn(&ShardObs) -> Readings| -> Series {
+        obs.shards
+            .iter()
+            .enumerate()
+            .map(|(i, sh)| (Some(i), read(sh)))
+            .collect()
+    };
+    [
+        vec![(None, metrics.readings())],
+        shards(&ShardObs::gauges),
+        shards(&|sh| sh.engine.load().readings()),
+        vec![(None, obs.repl.readings())],
+        vec![(None, obs.stages())],
+        shards(&ShardObs::stages),
+    ]
+}
+
+/// The planner's groups: plan-cache counters, then compile/exec latency.
+fn plan_groups(obs: &PipelineObs, plans: &CacheStats) -> [Series; 2] {
+    [
+        vec![(None, plan_cache(plans))],
+        vec![(None, obs.plan.readings())],
+    ]
+}
+
+/// Plan-cache counters and planner latency histograms: how often
+/// query compilation is skipped (`fenestra_plan_cache_*`) and what
+/// compiling versus dispatching a plan costs
+/// (`fenestra_plan_compile_us` / `fenestra_plan_exec_us`).
+fn plan_metrics(out: &mut String, obs: &PipelineObs, plans: &CacheStats) {
+    for series in plan_groups(obs, plans) {
+        families(out, &series);
+    }
+}
+
+/// One family per declared metric of a group: HELP/TYPE once, then a
+/// sample (or a histogram series) per entry of `series`. Derived
+/// values have no family.
+fn families(out: &mut String, series: &[(Option<usize>, Readings)]) {
+    let Some((_, first)) = series.first() else {
+        return;
+    };
+    for (j, (metric, _)) in first.0.iter().enumerate() {
+        let Some(name) = metric.family() else {
+            continue;
+        };
+        let kind = match metric.kind {
+            Kind::Histogram => {
+                let snaps: Vec<(Option<usize>, HistogramSnapshot)> = series
+                    .iter()
+                    .filter_map(|(shard, r)| match &r.0[j].1 {
+                        Reading::Hist(h) => Some((*shard, (**h).clone())),
+                        _ => None,
+                    })
+                    .collect();
+                histogram(out, &name, metric.help, &snaps);
+                continue;
+            }
+            Kind::Counter => "counter",
+            _ => "gauge",
+        };
+        let _ = writeln!(out, "# HELP {name} {}", metric.help);
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        for (shard, r) in series {
+            if let Reading::Value(v) = r.0[j].1 {
+                let _ = match shard {
+                    Some(i) => writeln!(out, "{name}{{shard=\"{i}\"}} {v}"),
+                    None => writeln!(out, "{name} {v}"),
+                };
+            }
+        }
     }
 }
 
@@ -145,489 +167,10 @@ fn histogram(
     }
 }
 
-/// Plan-cache counters and planner latency histograms: how often
-/// query compilation is skipped (`fenestra_plan_cache_*`) and what
-/// compiling versus dispatching a plan costs
-/// (`fenestra_plan_compile_us` / `fenestra_plan_exec_us`).
-fn plan_metrics(out: &mut String, obs: &PipelineObs, plans: &CacheStats) {
-    family(
-        out,
-        "fenestra_plan_cache_hits_total",
-        "counter",
-        "Query statements served by an already-compiled plan",
-        plans.hits,
-    );
-    family(
-        out,
-        "fenestra_plan_cache_misses_total",
-        "counter",
-        "Query statements that ran the planner (parse, rewrite, lower)",
-        plans.misses,
-    );
-    family(
-        out,
-        "fenestra_plan_cache_entries",
-        "gauge",
-        "Distinct statements currently held in the plan cache",
-        plans.entries,
-    );
-    histogram(
-        out,
-        "fenestra_plan_compile_us",
-        "Time compiling one statement into a physical plan, recorded on cache misses (microseconds)",
-        &[(None, obs.plan.compile_us.snapshot())],
-    );
-    histogram(
-        out,
-        "fenestra_plan_exec_us",
-        "Time executing one compiled plan end to end, fan-out and merge included (microseconds)",
-        &[(None, obs.plan.exec_us.snapshot())],
-    );
-}
-
-/// One unlabeled counter or gauge family with a single sample.
-fn family(out: &mut String, name: &str, kind: &str, help: &str, v: u64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    let _ = writeln!(out, "{name} {v}");
-}
-
-/// The server's network-layer counters, names suffixed `_total` for
-/// the monotone ones.
-fn server_metrics(out: &mut String, m: &ServerMetrics) {
-    let c = |out: &mut String, name: &str, help: &str, a: &AtomicU64| {
-        family(out, name, "counter", help, a.load(Ordering::Relaxed));
-    };
-    let g = |out: &mut String, name: &str, help: &str, a: &AtomicU64| {
-        family(out, name, "gauge", help, a.load(Ordering::Relaxed));
-    };
-    c(
-        out,
-        "fenestra_server_connections_total",
-        "Connections accepted",
-        &m.connections,
-    );
-    g(
-        out,
-        "fenestra_server_conns_open",
-        "Connections currently open, either wire plane",
-        &m.conns_open,
-    );
-    g(
-        out,
-        "fenestra_server_conns_binary",
-        "Open connections that negotiated the binary plane",
-        &m.conns_binary,
-    );
-    c(
-        out,
-        "fenestra_server_bytes_in_total",
-        "Bytes read off sockets",
-        &m.bytes_in,
-    );
-    c(
-        out,
-        "fenestra_server_bytes_out_total",
-        "Bytes written to sockets",
-        &m.bytes_out,
-    );
-    g(
-        out,
-        "fenestra_server_queue_hwm",
-        "High-water mark of ingest queue depth across shards",
-        &m.queue_hwm,
-    );
-    c(
-        out,
-        "fenestra_server_queries_total",
-        "Queries served",
-        &m.queries,
-    );
-    c(
-        out,
-        "fenestra_server_shed_total",
-        "Events shed under backpressure",
-        &m.shed,
-    );
-    c(
-        out,
-        "fenestra_server_events_total",
-        "Events admitted into the ingest queues",
-        &m.events,
-    );
-    c(
-        out,
-        "fenestra_server_watches_total",
-        "Watches registered",
-        &m.watches,
-    );
-    c(
-        out,
-        "fenestra_server_late_dropped_total",
-        "Admitted events dropped as beyond the lateness bound",
-        &m.late_dropped,
-    );
-    c(
-        out,
-        "fenestra_server_ingest_batches_total",
-        "Group-commit batches applied",
-        &m.ingest_batches,
-    );
-    c(
-        out,
-        "fenestra_server_ingest_batched_events_total",
-        "Events covered by group-commit batches",
-        &m.ingest_batched_events,
-    );
-    g(
-        out,
-        "fenestra_server_ingest_batch_max",
-        "Largest single ingest batch applied",
-        &m.ingest_batch_max,
-    );
-    c(
-        out,
-        "fenestra_server_group_commits_total",
-        "WAL commits covering more than one event",
-        &m.group_commits,
-    );
-    c(
-        out,
-        "fenestra_server_acks_deferred_total",
-        "Ingest frames admitted with their ack held for durability",
-        &m.acks_deferred,
-    );
-    c(
-        out,
-        "fenestra_server_acks_released_total",
-        "Deferred acks resolved (ack or failure line sent)",
-        &m.acks_released,
-    );
-    c(
-        out,
-        "fenestra_server_wal_appends_total",
-        "WAL op batches appended",
-        &m.wal_appends,
-    );
-    c(
-        out,
-        "fenestra_server_wal_bytes_total",
-        "WAL payload bytes appended",
-        &m.wal_bytes,
-    );
-    c(
-        out,
-        "fenestra_server_fsyncs_total",
-        "WAL fsync calls issued",
-        &m.fsyncs,
-    );
-    g(
-        out,
-        "fenestra_server_recovered_ops",
-        "Ops replayed during boot recovery",
-        &m.recovered_ops,
-    );
-    g(
-        out,
-        "fenestra_server_recovery_ms",
-        "Wall-clock milliseconds spent in boot recovery",
-        &m.recovery_ms,
-    );
-    g(
-        out,
-        "fenestra_server_wal_discarded_bytes",
-        "Torn WAL tail bytes discarded during recovery",
-        &m.wal_discarded_bytes,
-    );
-    g(
-        out,
-        "fenestra_server_wal_discarded_ops",
-        "WAL ops discarded during recovery",
-        &m.wal_discarded_ops,
-    );
-    c(
-        out,
-        "fenestra_server_gc_removed_total",
-        "Closed facts reclaimed by horizon GC",
-        &m.gc_removed,
-    );
-}
-
-/// One per-shard metric family: name, help, and the value reader.
-type ShardFamily<T> = (&'static str, &'static str, fn(&T) -> u64);
-
-/// Per-shard pipeline gauges, one family per gauge, `shard` labeled.
-fn shard_gauges(out: &mut String, obs: &PipelineObs) {
-    let families: [ShardFamily<fenestra_obs::ShardObs>; 11] = [
-        (
-            "fenestra_shard_queue_depth",
-            "Current ingest-queue depth",
-            |s| s.queue_depth.load(Ordering::Relaxed),
-        ),
-        (
-            "fenestra_shard_queue_hwm",
-            "High-water mark of this shard's queue depth",
-            |s| s.queue_hwm.load(Ordering::Relaxed),
-        ),
-        (
-            "fenestra_shard_reorder_depth",
-            "Events admitted but still in the reorder buffer",
-            |s| s.reorder_depth.load(Ordering::Relaxed),
-        ),
-        (
-            "fenestra_shard_watermark_lag_ms",
-            "Max event time seen minus current watermark (ms)",
-            |s| s.watermark_lag_ms.load(Ordering::Relaxed),
-        ),
-        (
-            "fenestra_shard_held_acks",
-            "Durable acks held awaiting a covering WAL commit",
-            |s| s.held_acks.load(Ordering::Relaxed),
-        ),
-        (
-            "fenestra_shard_wal_segment_bytes",
-            "Bytes in the current (unrotated) WAL segment",
-            |s| s.wal_segment_bytes.load(Ordering::Relaxed),
-        ),
-        (
-            "fenestra_shard_state_facts",
-            "Currently-open facts in the shard's store",
-            |s| s.state_facts.load(Ordering::Relaxed),
-        ),
-        (
-            "fenestra_shard_wal_gen",
-            "Current WAL segment generation",
-            |s| s.wal_gen.load(Ordering::Relaxed),
-        ),
-        (
-            "fenestra_shard_wal_oldest_gen",
-            "Oldest WAL segment generation still on disk",
-            |s| s.wal_oldest_gen.load(Ordering::Relaxed),
-        ),
-        (
-            "fenestra_shard_wal_segments",
-            "WAL segment files on disk for this shard",
-            |s| s.wal_segments.load(Ordering::Relaxed),
-        ),
-        (
-            "fenestra_shard_repl_lag_bytes",
-            "Follower only: bytes behind the leader's write position",
-            |s| s.repl_lag_bytes.load(Ordering::Relaxed),
-        ),
-    ];
-    for (name, help, get) in families {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        for (i, sh) in obs.shards.iter().enumerate() {
-            let _ = writeln!(out, "{name}{{shard=\"{i}\"}} {}", get(sh));
-        }
-    }
-}
-
-/// Replication counters and gauges (quiet zeros when not replicating),
-/// plus the leader's ack-lag and the follower's apply-latency
-/// histograms.
-fn repl_metrics(out: &mut String, obs: &PipelineObs) {
-    let r = &obs.repl;
-    let v = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    family(
-        out,
-        "fenestra_repl_epoch",
-        "gauge",
-        "Current fencing epoch",
-        v(&r.epoch),
-    );
-    family(
-        out,
-        "fenestra_repl_following",
-        "gauge",
-        "1 while this node is a read-only follower, 0 while leading",
-        v(&r.following),
-    );
-    family(
-        out,
-        "fenestra_repl_followers",
-        "gauge",
-        "Leader: follower connections currently served",
-        v(&r.followers),
-    );
-    family(
-        out,
-        "fenestra_repl_ship_frames_total",
-        "counter",
-        "Leader: WAL frames shipped to followers",
-        v(&r.ship_frames),
-    );
-    family(
-        out,
-        "fenestra_repl_ship_bytes_total",
-        "counter",
-        "Leader: WAL segment bytes shipped to followers",
-        v(&r.ship_bytes),
-    );
-    family(
-        out,
-        "fenestra_repl_snapshots_shipped_total",
-        "counter",
-        "Leader: bootstrap snapshots shipped to followers",
-        v(&r.snapshots_shipped),
-    );
-    family(
-        out,
-        "fenestra_repl_fenced_total",
-        "counter",
-        "Replication messages refused by epoch fencing",
-        v(&r.fenced),
-    );
-    family(
-        out,
-        "fenestra_repl_applied_frames_total",
-        "counter",
-        "Follower: shipped WAL frames applied locally",
-        v(&r.applied_frames),
-    );
-    family(
-        out,
-        "fenestra_repl_applied_ops_total",
-        "counter",
-        "Follower: ops applied from shipped frames",
-        v(&r.applied_ops),
-    );
-    family(
-        out,
-        "fenestra_repl_applied_bytes_total",
-        "counter",
-        "Follower: shipped segment bytes applied locally",
-        v(&r.applied_bytes),
-    );
-    family(
-        out,
-        "fenestra_repl_reconnects_total",
-        "counter",
-        "Follower: reconnects to the leader",
-        v(&r.reconnects),
-    );
-    family(
-        out,
-        "fenestra_repl_last_leader_contact_ms",
-        "gauge",
-        "Follower: unix millis of the last frame or heartbeat from the leader",
-        v(&r.last_leader_contact_ms),
-    );
-    family(
-        out,
-        "fenestra_repl_sync_acks_ok_total",
-        "counter",
-        "Leader: held acks released by follower durable coverage (--sync-replicas)",
-        v(&r.sync_acks_ok),
-    );
-    family(
-        out,
-        "fenestra_repl_sync_acks_timeout_total",
-        "counter",
-        "Leader: held acks failed because follower coverage missed --sync-timeout-ms",
-        v(&r.sync_acks_timeout),
-    );
-    family(
-        out,
-        "fenestra_repl_sync_acks_fallback_total",
-        "counter",
-        "Leader: held acks released locally-durable-only after a sync timeout (--sync-fallback)",
-        v(&r.sync_acks_fallback),
-    );
-    family(
-        out,
-        "fenestra_repl_sync_waiting",
-        "gauge",
-        "Leader: ack parts currently parked awaiting follower coverage",
-        v(&r.sync_waiting),
-    );
-    histogram(
-        out,
-        "fenestra_repl_sync_wait_us",
-        "Leader: time a locally-durable ack waited for follower coverage (microseconds)",
-        &[(None, r.sync_wait_us.snapshot())],
-    );
-    histogram(
-        out,
-        "fenestra_repl_ack_lag_us",
-        "Leader: ship to applied-and-durable-on-follower ack latency (microseconds)",
-        &[(None, r.ack_lag_us.snapshot())],
-    );
-    histogram(
-        out,
-        "fenestra_repl_apply_us",
-        "Follower: time to apply one shipped batch, local WAL append + fsync + store apply (microseconds)",
-        &[(None, r.apply_us.snapshot())],
-    );
-}
-
-/// Per-shard engine counters, `shard` labeled, `_total` suffixed.
-fn engine_counters(out: &mut String, obs: &PipelineObs) {
-    let counters: Vec<fenestra_obs::EngineCounters> =
-        obs.shards.iter().map(|sh| sh.engine.load()).collect();
-    let families: [ShardFamily<fenestra_obs::EngineCounters>; 10] = [
-        (
-            "fenestra_engine_events_total",
-            "Events applied by the engine",
-            |c| c.events,
-        ),
-        (
-            "fenestra_engine_late_dropped_total",
-            "Events dropped as late",
-            |c| c.late_dropped,
-        ),
-        ("fenestra_engine_rule_fired_total", "Rule firings", |c| {
-            c.rule_fired
-        }),
-        (
-            "fenestra_engine_transitions_total",
-            "State transitions applied",
-            |c| c.transitions,
-        ),
-        (
-            "fenestra_engine_guard_blocked_total",
-            "Rule firings blocked by guards",
-            |c| c.guard_blocked,
-        ),
-        (
-            "fenestra_engine_rule_errors_total",
-            "Rule evaluation errors",
-            |c| c.rule_errors,
-        ),
-        (
-            "fenestra_engine_reason_asserted_total",
-            "Facts asserted by the reasoner",
-            |c| c.reason_asserted,
-        ),
-        (
-            "fenestra_engine_reason_retracted_total",
-            "Facts retracted by the reasoner",
-            |c| c.reason_retracted,
-        ),
-        (
-            "fenestra_engine_reason_syncs_total",
-            "Reasoner sync passes",
-            |c| c.reason_syncs,
-        ),
-        (
-            "fenestra_engine_ttl_expired_total",
-            "Open facts expired by TTL",
-            |c| c.ttl_expired,
-        ),
-    ];
-    for (name, help, get) in families {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for (i, c) in counters.iter().enumerate() {
-            let _ = writeln!(out, "{name}{{shard=\"{i}\"}} {}", get(c));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     /// Golden: exact exposition for one histogram family across two
     /// shards, pinning label syntax, cumulative buckets, log2 `le`
@@ -682,8 +225,15 @@ fenestra_stage_queue_wait_us_count{shard=\"1\"} 0
         let obs = PipelineObs::new(3);
         obs.admit_us.record(7);
         for (i, sh) in obs.shards.iter().enumerate() {
-            for stage in STAGES {
-                sh.stage(stage).record(1 << i);
+            for stage in [
+                &sh.queue_wait_us,
+                &sh.reorder_dwell_us,
+                &sh.wal.append_us,
+                &sh.wal.fsync_us,
+                &sh.ack_hold_us,
+                &sh.late_margin_ms,
+            ] {
+                stage.record(1 << i);
             }
             sh.observe_queue_depth(i as u64 + 1);
             // The last bucket folds into +Inf rather than printing
@@ -799,6 +349,28 @@ fenestra_plan_exec_us_sum 1
 fenestra_plan_exec_us_count 2
 ";
         assert_eq!(out, golden);
+    }
+
+    /// Every family the registry declares has a row in the tutorial's
+    /// metrics table.
+    #[test]
+    fn every_family_is_documented() {
+        let tutorial = include_str!("../../../docs/TUTORIAL.md");
+        let obs = PipelineObs::new(1);
+        let (metrics, plans) = (ServerMetrics::default(), CacheStats::default());
+        let mut names = Vec::new();
+        for series in groups(&metrics, &obs)
+            .into_iter()
+            .chain(plan_groups(&obs, &plans))
+        {
+            names.extend(series[0].1 .0.iter().filter_map(|(m, _)| m.family()));
+        }
+        assert_eq!(names.len(), 79);
+        let missing: Vec<&String> = names
+            .iter()
+            .filter(|name| !tutorial.contains(&format!("`{name}`")))
+            .collect();
+        assert!(missing.is_empty(), "not in docs/TUTORIAL.md: {missing:?}");
     }
 
     /// Strip the `le` label so bucket series pair with their family's

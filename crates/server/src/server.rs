@@ -38,7 +38,7 @@ use fenestra_base::time::{Duration, Interval, Timestamp};
 use fenestra_base::value::Value;
 use fenestra_core::shard::{merge_rows, partial_select};
 use fenestra_core::{Engine, EngineConfig, EngineMetrics, QueryResult, ShardRouter, Watch};
-use fenestra_obs::{EngineCounters, PipelineObs, ShardObs};
+use fenestra_obs::{PipelineObs, ShardObs};
 use fenestra_query::{
     Bindings, CacheStats, CachedPlan, PhysicalPlan, PlanCache, Query, QueryOptions, WindowPhys,
 };
@@ -2614,23 +2614,6 @@ fn fan_out_window(ctx: &ConnCtx, w: &Arc<WindowPhys>) -> String {
     }
 }
 
-/// Engine counters as published into the per-shard gauges, in
-/// [`EngineMetrics`] shape so the wire schema is unchanged.
-pub(crate) fn counters_to_metrics(c: &EngineCounters) -> EngineMetrics {
-    EngineMetrics {
-        events: c.events,
-        late_dropped: c.late_dropped,
-        rule_fired: c.rule_fired,
-        transitions: c.transitions,
-        guard_blocked: c.guard_blocked,
-        rule_errors: c.rule_errors,
-        reason_asserted: c.reason_asserted,
-        reason_retracted: c.reason_retracted,
-        reason_syncs: c.reason_syncs,
-        ttl_expired: c.ttl_expired,
-    }
-}
-
 /// Build the `stats` reply from published atomics only — engine
 /// counters merged across shards, the shared server counters, merged
 /// stage-latency histograms, and a per-shard breakdown (counters,
@@ -2645,56 +2628,35 @@ pub(crate) fn build_stats(
     let mut merged = EngineMetrics::default();
     let mut per_shard = Vec::with_capacity(obs.shards.len());
     for (i, sh) in obs.shards.iter().enumerate() {
-        let em = counters_to_metrics(&sh.engine.load());
-        merged.merge(&em);
+        let engine = sh.engine.load();
+        merged.merge(&engine);
         let mut obj = Map::new();
         obj.insert("shard".into(), Json::from(i as u32));
-        obj.insert(
-            "engine".into(),
-            fenestra_wire::metrics::metrics_json_value(&em),
-        );
+        obj.insert("engine".into(), engine.readings().json());
         obj.insert(
             "held_acks".into(),
             Json::from(sh.held_acks.load(Ordering::Relaxed)),
         );
-        obj.insert("gauges".into(), sh.gauges_json());
-        obj.insert("stages".into(), sh.stages_json());
+        obj.insert("gauges".into(), sh.gauges().json());
+        obj.insert("stages".into(), sh.stages().json());
         per_shard.push(Json::Object(obj));
     }
+    let mut plan_obj = Map::new();
+    plan_obj.insert("cache".into(), crate::metrics::plan_cache(plans).json());
+    obs.plan.readings().write_json(&mut plan_obj);
     let mut obj = Map::new();
     obj.insert("ok".into(), Json::Bool(true));
-    obj.insert(
-        "engine".into(),
-        fenestra_wire::metrics::metrics_json_value(&merged),
-    );
-    obj.insert("server".into(), metrics.json_value());
+    obj.insert("engine".into(), merged.readings().json());
+    obj.insert("server".into(), metrics.readings().json());
     obj.insert("stages".into(), obs.merged_stages_json());
-    obj.insert("plans".into(), plans_json(obs, plans));
+    obj.insert("plans".into(), Json::Object(plan_obj));
     obj.insert("shards".into(), Json::Array(per_shard));
     // Present only when replication is configured, so a plain server's
     // stats schema is unchanged.
     if repl {
-        obj.insert("replication".into(), obs.repl.json());
+        obj.insert("replication".into(), obs.repl.readings().json());
     }
     Json::Object(obj).to_string()
-}
-
-/// The `plans` stats section: plan-cache counters plus compile/exec
-/// latency summaries —
-/// `{"cache":{"hits":…,"misses":…,"entries":…},"compile_us":{…},"exec_us":{…}}`.
-fn plans_json(obs: &PipelineObs, cs: &CacheStats) -> Json {
-    let mut cache = Map::new();
-    cache.insert("hits".into(), Json::from(cs.hits));
-    cache.insert("misses".into(), Json::from(cs.misses));
-    cache.insert("entries".into(), Json::from(cs.entries));
-    let mut obj = Map::new();
-    obj.insert("cache".into(), Json::Object(cache));
-    if let Json::Object(hists) = obs.plan.json() {
-        for (k, v) in hists {
-            obj.insert(k, v);
-        }
-    }
-    Json::Object(obj)
 }
 
 /// Fan the `sync` barrier out to every shard and confirm once each has

@@ -21,8 +21,8 @@
 //! with the value `"ingest"`) — but an event sent to the server cannot
 //! use a field named `cmd`.
 //!
-//! Also home to the [`metrics`] serializer shared by
-//! `fenestra run --metrics-json` and the server's `stats` command.
+//! Also home to the [`metrics`] page: the shape of the server's
+//! `stats` reply.
 //!
 //! # The binary plane and reserved magic
 //!

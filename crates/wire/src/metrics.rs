@@ -1,26 +1,35 @@
-//! Engine metrics as JSON — one flat object, shared verbatim by
-//! `fenestra run --metrics-json` and the server's `stats` command so
-//! dashboards scrape one shape everywhere.
+//! The shape of the server's `stats` reply.
 //!
-//! ## The server's `stats` reply shape
-//!
-//! `fenestrad` embeds this object once merged and once per shard:
+//! Every metric in it is declared once, in the metric registry of
+//! `fenestra-obs` (its `metrics!` macro): the declaration gives the
+//! key, the kind and the help text, and the same declaration renders
+//! the `stats` object below and the Prometheus families on
+//! `--metrics-addr` (see `fenestra-server`'s `prom` module). So this
+//! page names the groups, not their keys; the keys are the field names
+//! of the declaring structs.
 //!
 //! ```json
-//! {"ok":true, "engine":{…}, "server":{…}, "stages":{…},
+//! {"ok":true, "engine":{…}, "server":{…}, "stages":{…}, "plans":{…},
 //!  "shards":[{"shard":0, "engine":{…}, "held_acks":0,
-//!             "gauges":{…}, "stages":{…}}, …]}
+//!             "gauges":{…}, "stages":{…}}, …],
+//!  "replication":{…}}
 //! ```
 //!
-//! * `engine` (top level) — the shard engines' counters **summed**:
-//!   the same totals a single-shard run would report. Read from
-//!   published per-shard atomics on the connection thread (`stats` is
-//!   not a processing barrier; the `sync` command is).
-//! * `stages` (top level) — per-stage latency histogram summaries
-//!   (`{count, p50, p90, p99, max, mean}`) **merged across shards**:
-//!   `admit_us`, `queue_wait_us`, `reorder_dwell_us`, `wal_append_us`,
-//!   `fsync_us`, `ack_hold_us`, and the lateness-diagnostic
-//!   `late_margin_ms` over dropped events.
+//! * `engine` — the shard engines' counters
+//!   ([`fenestra_core::EngineMetrics`]) **summed**: the same totals a
+//!   single-shard run reports, and the same object
+//!   `fenestra run --metrics-json` prints. Read from published
+//!   per-shard atomics on the connection thread (`stats` is not a
+//!   processing barrier; the `sync` command is).
+//! * `server` — the network layer's counters (`ServerMetrics` in
+//!   `fenestra-server`), shared across shards and reported once, plus
+//!   the derived `ingest_batch_mean`.
+//! * `stages` — latency histogram summaries
+//!   (`{count, p50, p90, p99, max, mean}`): the connection plane's
+//!   (`PipelineObs::stages`), then every shard stage
+//!   (`ShardObs::stages`) **merged across shards**.
+//! * `plans` — `cache` (the plan cache's hits, misses and entries),
+//!   then the planner's compile and exec latency (`PlanObs`).
 //! * `shards[i].shard` — the shard index (also the `-<shard>-` in that
 //!   shard's WAL segment names and the `.shard<i>` snapshot suffix).
 //! * `shards[i].engine` — that shard's own counters, same flat shape.
@@ -29,71 +38,12 @@
 //! * `shards[i].held_acks` — durable acks the shard is currently
 //!   holding: frames admitted but not yet covered by a fsynced WAL
 //!   commit (nonzero steady-state usually means a lateness bound is
-//!   keeping events in the reorder buffer).
-//! * `shards[i].gauges` — point-in-time gauges: `queue_depth`,
-//!   `queue_hwm` (this shard's own high-water mark; `server.queue_hwm`
-//!   is the max over shards), `reorder_depth`, `watermark_lag_ms`,
-//!   `held_acks`, `wal_segment_bytes`, `state_facts`.
-//! * `shards[i].stages` — the same histogram summaries as the top
-//!   level, unmerged (this shard only).
-//!
-//! Server-level counters (`server.events`, `server.gc_removed`,
-//! `server.wal_appends`, …) are shared across shards and reported
-//! once, already summed. The same numbers are exported in Prometheus
-//! text form on `--metrics-addr` (see `fenestra-server`'s `prom`
-//! module).
-
-use fenestra_core::EngineMetrics;
-use serde_json::{Map, Value as Json};
-
-/// Engine counters as a JSON object value (for embedding in larger
-/// replies, e.g. the server's `stats`).
-pub fn metrics_json_value(m: &EngineMetrics) -> Json {
-    let mut obj = Map::new();
-    obj.insert("events".into(), Json::from(m.events));
-    obj.insert("late_dropped".into(), Json::from(m.late_dropped));
-    obj.insert("rule_fired".into(), Json::from(m.rule_fired));
-    obj.insert("transitions".into(), Json::from(m.transitions));
-    obj.insert("guard_blocked".into(), Json::from(m.guard_blocked));
-    obj.insert("rule_errors".into(), Json::from(m.rule_errors));
-    obj.insert("reason_asserted".into(), Json::from(m.reason_asserted));
-    obj.insert("reason_retracted".into(), Json::from(m.reason_retracted));
-    obj.insert("reason_syncs".into(), Json::from(m.reason_syncs));
-    obj.insert("ttl_expired".into(), Json::from(m.ttl_expired));
-    Json::Object(obj)
-}
-
-/// Engine counters as a single-line JSON string.
-pub fn metrics_to_json(m: &EngineMetrics) -> String {
-    metrics_json_value(m).to_string()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_counters_present_and_parseable() {
-        let m = EngineMetrics {
-            events: 7,
-            late_dropped: 1,
-            ..Default::default()
-        };
-        let json = metrics_to_json(&m);
-        let v = serde_json::from_str(&json).unwrap();
-        assert_eq!(v.get("events").and_then(|x| x.as_u64()), Some(7));
-        assert_eq!(v.get("late_dropped").and_then(|x| x.as_u64()), Some(1));
-        for key in [
-            "rule_fired",
-            "transitions",
-            "guard_blocked",
-            "rule_errors",
-            "reason_asserted",
-            "reason_retracted",
-            "reason_syncs",
-            "ttl_expired",
-        ] {
-            assert_eq!(v.get(key).and_then(|x| x.as_u64()), Some(0), "{key}");
-        }
-    }
-}
+//!   keeping events in the reorder buffer). The same value is also in
+//!   `gauges`.
+//! * `shards[i].gauges` — point-in-time gauges (`ShardObs::gauges`);
+//!   `queue_hwm` here is the shard's own high-water mark,
+//!   `server.queue_hwm` the max over shards.
+//! * `shards[i].stages` — the shard's stage histograms, unmerged.
+//! * `replication` — present only when replication is configured:
+//!   `role` (`"leader"` or `"follower"`), then the counters, gauges and
+//!   histograms of `ReplObs`.

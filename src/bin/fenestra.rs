@@ -147,7 +147,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if metrics_json {
         // One machine-readable JSON object on stdout — same shape the
         // fenestrad `stats` command reports under "engine".
-        println!("{}", fenestra::wire::metrics::metrics_to_json(&m));
+        println!("{}", m.readings().json());
     } else {
         eprintln!(
             "done: {} events ({} late-dropped), {} rule firings, {} transitions, {} guard-blocked, {} errors",
