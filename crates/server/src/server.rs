@@ -2749,6 +2749,17 @@ fn serve_metrics_conn(
 mod tests {
     use super::*;
 
+    /// `writeln!` in one write: on a raw socket `writeln!` sends the
+    /// newline as a second segment, which the client's Nagle holds
+    /// until the server's delayed ACK.
+    macro_rules! send {
+        ($stream:expr, $($fmt:tt)*) => {
+            (&$stream)
+                .write_all(format!("{}\n", format_args!($($fmt)*)).as_bytes())
+                .unwrap()
+        };
+    }
+
     fn lines(stream: &TcpStream) -> impl Iterator<Item = String> + '_ {
         BufReader::new(stream.try_clone().unwrap())
             .lines()
@@ -2759,19 +2770,19 @@ mod tests {
     fn stats_shutdown_round_trip() {
         let mut handle = Server::start(ServerConfig::new("127.0.0.1:0")).unwrap();
         let stream = TcpStream::connect(handle.local_addr()).unwrap();
-        let mut input = stream.try_clone().unwrap();
+        let input = stream.try_clone().unwrap();
         let mut rx = lines(&stream);
 
-        writeln!(input, r#"{{"stream":"s","ts":1,"x":2}}"#).unwrap();
+        send!(input, r#"{{"stream":"s","ts":1,"x":2}}"#);
         let ack = rx.next().unwrap();
         assert!(ack.contains(r#""seq":1"#), "got: {ack}");
 
-        writeln!(input, r#"{{"cmd":"stats"}}"#).unwrap();
+        send!(input, r#"{{"cmd":"stats"}}"#);
         let stats = rx.next().unwrap();
         let v: serde_json::Value = serde_json::from_str(&stats).unwrap();
         assert!(v.get("engine").is_some() && v.get("server").is_some());
 
-        writeln!(input, r#"{{"cmd":"shutdown"}}"#).unwrap();
+        send!(input, r#"{{"cmd":"shutdown"}}"#);
         let bye = rx.next().unwrap();
         assert!(bye.contains("bye"), "got: {bye}");
         handle.join();
@@ -2798,17 +2809,16 @@ mod tests {
 
         let mut handle = Server::start(config()).unwrap();
         let stream = TcpStream::connect(handle.local_addr()).unwrap();
-        let mut input = stream.try_clone().unwrap();
+        let input = stream.try_clone().unwrap();
         let mut rx = lines(&stream);
         for ts in 1..=5 {
-            writeln!(
+            send!(
                 input,
                 r#"{{"stream":"s","ts":{ts},"visitor":"v{ts}","room":"lab"}}"#
-            )
-            .unwrap();
+            );
             assert!(rx.next().unwrap().contains(r#""ok":true"#));
         }
-        writeln!(input, r#"{{"cmd":"shutdown"}}"#).unwrap();
+        send!(input, r#"{{"cmd":"shutdown"}}"#);
         rx.next().unwrap();
         handle.join();
         // Shutdown checkpointed: snapshot exists, gen 0 rotated away.
@@ -2822,13 +2832,12 @@ mod tests {
             "restart must replay the snapshot"
         );
         let stream = TcpStream::connect(handle.local_addr()).unwrap();
-        let mut input = stream.try_clone().unwrap();
+        let input = stream.try_clone().unwrap();
         let mut rx = lines(&stream);
-        writeln!(
+        send!(
             input,
             r#"{{"cmd":"query","q":"select ?v where {{ ?v room \"lab\" }}"}}"#
-        )
-        .unwrap();
+        );
         let reply = rx.next().unwrap();
         for v in ["v1", "v2", "v3", "v4", "v5"] {
             assert!(reply.contains(v), "missing {v} in: {reply}");
@@ -2841,15 +2850,15 @@ mod tests {
     fn bad_lines_get_errors_not_disconnects() {
         let mut handle = Server::start(ServerConfig::new("127.0.0.1:0")).unwrap();
         let stream = TcpStream::connect(handle.local_addr()).unwrap();
-        let mut input = stream.try_clone().unwrap();
+        let input = stream.try_clone().unwrap();
         let mut rx = lines(&stream);
 
-        writeln!(input, "this is not json").unwrap();
+        send!(input, "this is not json");
         assert!(rx.next().unwrap().contains(r#""ok":false"#));
-        writeln!(input, r#"{{"cmd":"nope"}}"#).unwrap();
+        send!(input, r#"{{"cmd":"nope"}}"#);
         assert!(rx.next().unwrap().contains("unknown command"));
         // Connection still works afterwards.
-        writeln!(input, r#"{{"stream":"s","ts":1}}"#).unwrap();
+        send!(input, r#"{{"stream":"s","ts":1}}"#);
         assert!(rx.next().unwrap().contains(r#""ok":true"#));
 
         handle.shutdown();
@@ -2876,36 +2885,33 @@ mod tests {
 
         let mut handle = Server::start(config()).unwrap();
         let stream = TcpStream::connect(handle.local_addr()).unwrap();
-        let mut input = stream.try_clone().unwrap();
+        let input = stream.try_clone().unwrap();
         let mut rx = lines(&stream);
         for ts in 1..=16 {
-            writeln!(
+            send!(
                 input,
                 r#"{{"stream":"s","ts":{ts},"visitor":"v{ts}","room":"lab"}}"#
-            )
-            .unwrap();
+            );
             assert!(rx.next().unwrap().contains(r#""ok":true"#));
         }
         // Fan-out select sees every entity regardless of its shard.
-        writeln!(
+        send!(
             input,
             r#"{{"cmd":"query","q":"select ?v where {{ ?v room \"lab\" }}"}}"#
-        )
-        .unwrap();
+        );
         let reply = rx.next().unwrap();
         for v in (1..=16).map(|i| format!("v{i}")) {
             assert!(reply.contains(&v), "missing {v} in: {reply}");
         }
         // Count merges globally, not per shard.
-        writeln!(
+        send!(
             input,
             r#"{{"cmd":"query","q":"select count ?v where {{ ?v room \"lab\" }}"}}"#
-        )
-        .unwrap();
+        );
         let reply = rx.next().unwrap();
         assert!(reply.contains(r#""count":16"#), "got: {reply}");
         // Stats aggregate across shards and break them out.
-        writeln!(input, r#"{{"cmd":"stats"}}"#).unwrap();
+        send!(input, r#"{{"cmd":"stats"}}"#);
         let stats = rx.next().unwrap();
         let v: serde_json::Value = serde_json::from_str(&stats).unwrap();
         let shard_events = |s: &Json| {
@@ -2923,7 +2929,7 @@ mod tests {
             "16 distinct keys should span more than one shard: {stats}"
         );
 
-        writeln!(input, r#"{{"cmd":"shutdown"}}"#).unwrap();
+        send!(input, r#"{{"cmd":"shutdown"}}"#);
         assert!(rx.next().unwrap().contains("bye"));
         handle.join();
         // Shard-addressed on-disk layout, one snapshot per shard.
@@ -2947,13 +2953,12 @@ mod tests {
         // Restarting with the matching count recovers everything.
         let mut handle = Server::start(config()).unwrap();
         let stream = TcpStream::connect(handle.local_addr()).unwrap();
-        let mut input = stream.try_clone().unwrap();
+        let input = stream.try_clone().unwrap();
         let mut rx = lines(&stream);
-        writeln!(
+        send!(
             input,
             r#"{{"cmd":"query","q":"select count ?v where {{ ?v room \"lab\" }}"}}"#
-        )
-        .unwrap();
+        );
         assert!(rx.next().unwrap().contains(r#""count":16"#));
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -3001,24 +3006,22 @@ mod tests {
         )
         .unwrap();
         let stream = TcpStream::connect(handle.local_addr()).unwrap();
-        let mut input = stream.try_clone().unwrap();
+        let input = stream.try_clone().unwrap();
         let mut rx = lines(&stream);
         // A multi-shard batch frame plus single events, all of which
         // sit in reorder buffers (lateness 60s, no watermark advance):
         // every ack is held when the shutdown arrives.
-        writeln!(
+        send!(
             input,
             r#"{{"op":"ingest","events":[{{"stream":"s","ts":1000,"visitor":"a","room":"r"}},{{"stream":"s","ts":1001,"visitor":"b","room":"r"}},{{"stream":"s","ts":1002,"visitor":"c","room":"r"}},{{"stream":"s","ts":1003,"visitor":"d","room":"r"}}]}}"#
-        )
-        .unwrap();
+        );
         for ts in 2000..2006 {
-            writeln!(
+            send!(
                 input,
                 r#"{{"stream":"s","ts":{ts},"visitor":"v{ts}","room":"r"}}"#
-            )
-            .unwrap();
+            );
         }
-        writeln!(input, r#"{{"cmd":"shutdown"}}"#).unwrap();
+        send!(input, r#"{{"cmd":"shutdown"}}"#);
         // Exactly 7 acks (batch + 6 singles), in admission order, all
         // before the bye.
         let batch_ack = rx.next().unwrap();

@@ -28,7 +28,11 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) {
-        writeln!(self.out, "{line}").expect("send");
+        // One write: `writeln!` sends the newline as a second segment,
+        // which this client's Nagle holds until the server's ACK.
+        self.out
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
     }
 
     /// Round-trip one request, returning the raw reply line (for

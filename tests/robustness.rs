@@ -287,7 +287,12 @@ mod crash {
 
     impl Conn {
         fn send(&mut self, line: &str) {
-            writeln!(self.stream, "{line}").unwrap();
+            // One write: `writeln!` sends the newline as a second
+            // segment, which this client's Nagle holds until the
+            // server's ACK.
+            self.stream
+                .write_all(format!("{line}\n").as_bytes())
+                .unwrap();
         }
 
         fn recv(&mut self) -> Json {

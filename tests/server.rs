@@ -27,7 +27,11 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) {
-        writeln!(self.out, "{line}").expect("send");
+        // One write: `writeln!` sends the newline as a second segment,
+        // which this client's Nagle holds until the server's ACK.
+        self.out
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
     }
 
     fn recv(&mut self) -> Json {
