@@ -401,7 +401,7 @@ fn run(
     }
     let m = handle.metrics();
     let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    let stages = handle.pipeline_obs().merged_stages_json();
+    let stages = handle.pipeline_obs().merged_stages().json();
     let result = RunResult {
         label: label.to_string(),
         events: actual_events,
@@ -593,7 +593,7 @@ fn run_plane(
     }
     let m = handle.metrics();
     let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    let stages = handle.pipeline_obs().merged_stages_json();
+    let stages = handle.pipeline_obs().merged_stages().json();
     let result = RunResult {
         label: label.to_string(),
         events: total,

@@ -40,4 +40,4 @@ mod registry;
 
 pub use histogram::{bucket_upper_bound, Histogram, HistogramSnapshot, BUCKETS};
 pub use pipeline::{EngineGauges, EngineMetrics, PipelineObs, PlanObs, ReplObs, ShardObs, WalObs};
-pub use registry::{Kind, Metric, Reading, Readings};
+pub use registry::{storage, Kind, Metric, Read, Reading, Readings};

@@ -40,19 +40,19 @@ crate::metrics! {
     /// The shard loop publishes after every applied batch.
     EngineGauges {
         /// Accepted on time or within the lateness bound.
-        events: counter "Events applied by the engine",
-        late_dropped: counter "Events dropped as late",
+        events: Counter "Events applied by the engine",
+        late_dropped: Counter "Events dropped as late",
         /// Firings whose actions ran.
-        rule_fired: counter "Rule firings",
-        transitions: counter "State transitions applied",
-        guard_blocked: counter "Rule firings blocked by guards",
+        rule_fired: Counter "Rule firings",
+        transitions: Counter "State transitions applied",
+        guard_blocked: Counter "Rule firings blocked by guards",
         /// Store errors included.
-        rule_errors: counter "Rule evaluation errors",
-        reason_asserted: counter "Facts asserted by the reasoner",
-        reason_retracted: counter "Facts retracted by the reasoner",
-        reason_syncs: counter "Reasoner sync passes",
+        rule_errors: Counter "Rule evaluation errors",
+        reason_asserted: Counter "Facts asserted by the reasoner",
+        reason_retracted: Counter "Facts retracted by the reasoner",
+        reason_syncs: Counter "Reasoner sync passes",
         /// By attribute TTLs.
-        ttl_expired: counter "Open facts expired by TTL",
+        ttl_expired: Counter "Open facts expired by TTL",
     }
 }
 
@@ -72,43 +72,43 @@ crate::metrics! {
     pub struct ShardObs {
         fn stages in "stage" {
             /// One sample per queued command.
-            queue_wait_us: histogram
+            queue_wait_us: Histogram
                 "Time an ingest command waited in its shard queue before dequeue (microseconds)",
             /// One sample per drained event.
-            reorder_dwell_us: histogram
+            reorder_dwell_us: Histogram
                 "Time an event dwelt in the reorder buffer before the watermark released it (microseconds)",
-            wal_append_us: histogram at wal.append_us
+            wal_append_us: Histogram at wal.append_us
                 "Time writing one WAL frame, excluding fsync (microseconds)",
-            fsync_us: histogram at wal.fsync_us "Time in WAL fsync (microseconds)",
+            fsync_us: Histogram at wal.fsync_us "Time in WAL fsync (microseconds)",
             /// One sample per released frame part; only recorded in
             /// durable-ack mode.
-            ack_hold_us: histogram
+            ack_hold_us: Histogram
                 "Time from frame admission to durable-ack release (microseconds)",
             /// Shard watermark minus event timestamp at admission.
             /// `count` equals the shard's `late_dropped` counter.
-            late_margin_ms: histogram as "fenestra_late_margin_ms"
+            late_margin_ms: Histogram as "fenestra_late_margin_ms"
                 "How far behind the shard watermark each dropped-as-late event arrived (milliseconds)",
         }
         fn gauges in "shard" {
             /// Refreshed at enqueue and dequeue.
-            queue_depth: gauge "Current ingest-queue depth",
-            queue_hwm: gauge "High-water mark of this shard's queue depth",
-            reorder_depth: gauge "Events admitted but still in the reorder buffer",
+            queue_depth: Gauge "Current ingest-queue depth",
+            queue_hwm: Gauge "High-water mark of this shard's queue depth",
+            reorder_depth: Gauge "Events admitted but still in the reorder buffer",
             /// Equals the lateness bound once the stream is flowing.
-            watermark_lag_ms: gauge "Max event time seen minus current watermark (ms)",
-            held_acks: gauge "Durable acks held awaiting a covering WAL commit",
-            wal_segment_bytes: gauge "Bytes in the current (unrotated) WAL segment",
-            wal_gen: gauge "Current WAL segment generation",
+            watermark_lag_ms: Gauge "Max event time seen minus current watermark (ms)",
+            held_acks: Gauge "Durable acks held awaiting a covering WAL commit",
+            wal_segment_bytes: Gauge "Bytes in the current (unrotated) WAL segment",
+            wal_gen: Gauge "Current WAL segment generation",
             /// Refreshed at boot and checkpoint (a directory scan, not
             /// a per-batch cost). Normally equals `wal_gen`; lower
             /// means a rotation's delete failed or is in flight.
-            wal_oldest_gen: gauge "Oldest WAL segment generation still on disk",
+            wal_oldest_gen: Gauge "Oldest WAL segment generation still on disk",
             /// Same refresh cadence as `wal_oldest_gen`. Normally 1.
-            wal_segments: gauge "WAL segment files on disk for this shard",
+            wal_segments: Gauge "WAL segment files on disk for this shard",
             /// Leader segment bytes not yet applied locally; 0 on
             /// leaders and unreplicated servers.
-            repl_lag_bytes: gauge "Follower only: bytes behind the leader's write position",
-            state_facts: gauge "Currently-open facts in the shard's store",
+            repl_lag_bytes: Gauge "Follower only: bytes behind the leader's write position",
+            state_facts: Gauge "Currently-open facts in the shard's store",
         }
         /// WAL write-path timing (shared with the shard's WAL writer).
         pub wal: Arc<WalObs>,
@@ -135,35 +135,35 @@ crate::metrics! {
     pub struct ReplObs {
         fn readings in "repl" {
             role: derived ReplObs::role,
-            epoch: gauge "Current fencing epoch",
+            epoch: Gauge "Current fencing epoch",
             /// Flips at promotion; `stats` shows it as `role`.
-            following: gauge prom_only "1 while this node is a read-only follower, 0 while leading",
-            followers: gauge "Leader: follower connections currently served",
-            ship_frames: counter "Leader: WAL frames shipped to followers",
-            ship_bytes: counter "Leader: WAL segment bytes shipped to followers",
-            snapshots_shipped: counter "Leader: bootstrap snapshots shipped to followers",
-            fenced: counter "Replication messages refused by epoch fencing",
+            following: Gauge prom_only "1 while this node is a read-only follower, 0 while leading",
+            followers: Gauge "Leader: follower connections currently served",
+            ship_frames: Counter "Leader: WAL frames shipped to followers",
+            ship_bytes: Counter "Leader: WAL segment bytes shipped to followers",
+            snapshots_shipped: Counter "Leader: bootstrap snapshots shipped to followers",
+            fenced: Counter "Replication messages refused by epoch fencing",
             /// From the `sent_at_us` echo in follower acks.
-            ack_lag_us: histogram
+            ack_lag_us: Histogram
                 "Leader: ship to applied-and-durable-on-follower ack latency (microseconds)",
-            applied_frames: counter "Follower: shipped WAL frames applied locally",
-            applied_ops: counter "Follower: ops applied from shipped frames",
-            applied_bytes: counter "Follower: shipped segment bytes applied locally",
-            apply_us: histogram
+            applied_frames: Counter "Follower: shipped WAL frames applied locally",
+            applied_ops: Counter "Follower: ops applied from shipped frames",
+            applied_bytes: Counter "Follower: shipped segment bytes applied locally",
+            apply_us: Histogram
                 "Follower: time to apply one shipped batch, local WAL append + fsync + store apply (microseconds)",
-            reconnects: counter "Follower: reconnects to the leader",
-            sync_wait_us: histogram
+            reconnects: Counter "Follower: reconnects to the leader",
+            sync_wait_us: Histogram
                 "Leader: time a locally-durable ack waited for follower coverage (microseconds)",
-            sync_acks_ok: counter
+            sync_acks_ok: Counter
                 "Leader: held acks released by follower durable coverage (--sync-replicas)",
-            sync_acks_timeout: counter
+            sync_acks_timeout: Counter
                 "Leader: held acks failed because follower coverage missed --sync-timeout-ms",
-            sync_acks_fallback: counter
+            sync_acks_fallback: Counter
                 "Leader: held acks released locally-durable-only after a sync timeout (--sync-fallback)",
-            sync_waiting: gauge "Leader: ack parts currently parked awaiting follower coverage",
+            sync_waiting: Gauge "Leader: ack parts currently parked awaiting follower coverage",
             /// 0 before first contact. Feeds leader-death detection and
             /// lets dashboards alert on silence.
-            last_leader_contact_ms: gauge
+            last_leader_contact_ms: Gauge
                 "Follower: unix millis of the last frame or heartbeat from the leader",
         }
     }
@@ -187,9 +187,9 @@ crate::metrics! {
     /// per query dispatch, covering shard fan-out and merge.
     pub struct PlanObs {
         fn readings in "plan" {
-            compile_us: histogram
+            compile_us: Histogram
                 "Time compiling one statement into a physical plan, recorded on cache misses (microseconds)",
-            exec_us: histogram
+            exec_us: Histogram
                 "Time executing one compiled plan end to end, fan-out and merge included (microseconds)",
         }
     }
@@ -204,15 +204,15 @@ crate::metrics! {
             /// frames, waits on a full queue included: the "front door"
             /// before queue wait. Parsing and decoding happen before
             /// staging and are not included.
-            admit_us: histogram
+            admit_us: Histogram
                 "Time from staging the first ingest frame of a flush to handing its last part to a shard queue (microseconds)",
             /// Binary plane: CRC check + decode, one sample per frame.
             /// Quiet unless binary clients are connected.
-            decode_us: histogram
+            decode_us: Histogram
                 "Time decoding one binary-plane frame out of a connection's read buffer (microseconds)",
             /// Binary plane: read, decode, route, and enqueue everything
             /// one readiness event made available.
-            reactor_dispatch_us: histogram
+            reactor_dispatch_us: Histogram
                 "Time one reactor spent servicing a single connection readiness event (microseconds)",
         }
         /// Per-shard instrumentation, indexed by shard id.
@@ -245,11 +245,6 @@ impl PipelineObs {
         all.0.extend(merged.0);
         all
     }
-
-    /// [`PipelineObs::merged_stages`] as `{stage: {count, p50, …}}`.
-    pub fn merged_stages_json(&self) -> Json {
-        self.merged_stages().json()
-    }
 }
 
 #[cfg(test)]
@@ -267,7 +262,7 @@ mod tests {
         p.shards[1].queue_wait_us.record(1000);
         p.shards[1].wal.fsync_us.record(5);
         p.decode_us.record(7);
-        let j = p.merged_stages_json();
+        let j = p.merged_stages().json();
         assert_eq!(count(&j, "queue_wait_us"), Some(2));
         assert_eq!(
             j.get("queue_wait_us").and_then(|v| v.get("max")),

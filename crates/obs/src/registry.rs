@@ -1,26 +1,18 @@
-//! The metric registry: every metric is declared once, and both
-//! renderers — the `stats` reply and the Prometheus exposition — walk
-//! the declarations instead of spelling metrics out again.
-//!
-//! A declaration ([`metrics!`](crate::metrics)) holds a metric's field
-//! name (which is also its `stats` key), its [`Kind`] and its help
-//! text. From it the macro generates the struct of atomics (or plain
-//! `u64`s) with that field, the struct's `Default`, and a method that
-//! reads the whole group into [`Readings`]: a plain-data copy, in
-//! declaration order, that renders as the `stats` JSON object or as
-//! Prometheus families.
-//!
-//! Recording never goes through the registry: an update site is a
-//! relaxed atomic op on a named field, exactly as if the struct were
-//! written out by hand.
-//!
+//! The metric registry: each metric is declared once in a
+//! [`metrics!`](crate::metrics) group — field name (also its `stats`
+//! key), [`Kind`], help text — and both renderers, the `stats` reply
+//! and the Prometheus exposition, walk the group's [`Readings`] instead
+//! of spelling metrics out again. Recording never goes through the
+//! registry: an update site is a relaxed atomic op on a named field.
 //! The Prometheus family name is `fenestra_<group>_<key>`, plus
 //! `_total` for counters; a declaration spells a name out only where it
 //! breaks that rule.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use serde_json::{Map, Value as Json};
 
-use crate::histogram::HistogramSnapshot;
+use crate::histogram::{Histogram, HistogramSnapshot};
 
 /// What a declared metric measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,28 +117,56 @@ impl Readings {
     }
 }
 
+/// How the [`metrics!`] readers read a metric's storage.
+#[doc(hidden)]
+pub trait Read {
+    /// The current value.
+    fn read(&self) -> Reading;
+}
+
+impl Read for AtomicU64 {
+    fn read(&self) -> Reading {
+        Reading::Value(self.load(Ordering::Relaxed))
+    }
+}
+
+impl Read for Histogram {
+    fn read(&self) -> Reading {
+        Reading::Hist(Box::new(self.snapshot()))
+    }
+}
+
+/// The storage type of each [`Kind`], named after its variant.
+#[doc(hidden)]
+pub mod storage {
+    pub use crate::Histogram;
+    /// A counter's storage.
+    pub type Counter = std::sync::atomic::AtomicU64;
+    /// A gauge's storage.
+    pub type Gauge = std::sync::atomic::AtomicU64;
+}
+
 /// Declare a group of metrics once and generate everything that
 /// follows from the declaration.
 ///
-/// Four forms. A struct of atomics, read in one or more sections:
+/// Three forms. A struct of atomics, read in one or more sections:
 ///
 /// ```
 /// fenestra_obs::metrics! {
 ///     /// Front-door counters.
 ///     pub struct Door {
 ///         fn readings in "door" {
-///             /// Connections accepted.
-///             accepted: counter "Connections accepted",
-///             open: gauge "Connections currently open",
-///             wait_us: histogram as "fenestra_wait_us" "Time waiting (microseconds)",
+///             /// Counted at accept.
+///             accepted: Counter "Connections accepted",
+///             open: Gauge "Connections currently open",
+///             wait_us: Histogram as "fenestra_wait_us" "Time waiting (microseconds)",
 ///             busy: derived Door::busy,
 ///         }
 ///     }
 /// }
 /// impl Door {
 ///     fn busy(&self) -> serde_json::Value {
-///         use std::sync::atomic::Ordering::Relaxed;
-///         (self.open.load(Relaxed) > 0).into()
+///         (self.open.load(std::sync::atomic::Ordering::Relaxed) > 0).into()
 ///     }
 /// }
 /// let door = Door::default();
@@ -158,34 +178,29 @@ impl Readings {
 /// ```
 ///
 /// Each section `fn name in "group"` becomes a reader method `name`.
-/// An entry is `key: kind [as "family"] "help"`, where `kind` is
-/// `counter`, `gauge` or `histogram` and `as` spells out a Prometheus
-/// name that breaks the rule; `key: kind prom_only "help"` keeps the
-/// metric out of `stats`. `key: kind at a.b "help"` reads a metric
-/// whose storage is a field of a nested struct. `key: derived f`
-/// computes a `stats`-only value with `f(&self) -> serde_json::Value`.
-/// Fields after the sections (`pub name: Type,`) are carried along
-/// unchanged. The struct derives `Debug` and `Default`. A field's doc
-/// is its help text, then any doc comments written on the entry.
+/// An entry is `key: Kind "help"`, optionally with `as "family"`
+/// before the help for a Prometheus name that breaks the rule, or with
+/// `prom_only` to keep the metric out of `stats`. `key: Kind at a.b
+/// "help"` reads storage that lives in a nested struct. `key: derived
+/// f` computes a `stats`-only value with `f(&self) ->
+/// serde_json::Value`. Fields after the sections are carried along.
+/// The struct derives `Debug` and `Default`; a field's doc is its help
+/// text, then the doc comments written on the entry.
 ///
-/// A struct of plain `u64`s, with `merge` and `readings`:
+/// A struct of plain `u64`s with `merge` and `readings`, plus an
+/// atomic mirror with `store(&Plain)` and `load() -> Plain`:
 ///
 /// ```text
-/// pub struct Name in "group" { key: counter "help", … }
+/// pub struct Plain in "group" mirrored by Atomic { key: Counter "help", … }
 /// ```
 ///
-/// and the same with `mirrored by Atomic`, which also generates a
-/// struct of atomics with `store(&Name)` and `load() -> Name`.
-///
-/// A reader for a plain struct declared elsewhere, whose `u64` fields
-/// hold the values:
+/// A reader for a plain struct declared elsewhere:
 ///
 /// ```text
-/// pub fn reader(Type) in "group" { field: counter "help", … }
+/// pub fn reader(Type) in "group" { field: Counter "help", … }
 /// ```
 #[macro_export]
 macro_rules! metrics {
-    // A plain `u64` twin with an atomic mirror.
     (
         $(#[$pm:meta])*
         pub struct $plain:ident in $group:literal mirrored by
@@ -193,9 +208,25 @@ macro_rules! metrics {
             $( $(#[$fm:meta])* $f:ident: $kind:ident $help:literal, )*
         }
     ) => {
-        $crate::metrics! {
-            $(#[$pm])*
-            pub struct $plain in $group { $( $(#[$fm])* $f: $kind $help, )* }
+        $(#[$pm])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $plain {
+            $( #[doc = $help] #[doc = ""] $(#[$fm])* pub $f: u64, )*
+        }
+
+        impl $plain {
+            /// Fold another copy into this one (every field adds).
+            pub fn merge(&mut self, other: &$plain) {
+                $( self.$f += other.$f; )*
+            }
+
+            /// Every declared metric with its value.
+            pub fn readings(&self) -> $crate::Readings {
+                $crate::Readings::new(
+                    &[ $( $crate::__metric!($f $kind $group $help, None, true), )* ],
+                    vec![ $( $crate::Reading::Value(self.$f), )* ],
+                )
+            }
         }
 
         $(#[$am])*
@@ -217,37 +248,6 @@ macro_rules! metrics {
         }
     };
 
-    // A plain `u64` struct.
-    (
-        $(#[$pm:meta])*
-        pub struct $plain:ident in $group:literal {
-            $( $(#[$fm:meta])* $f:ident: $kind:ident $help:literal, )*
-        }
-    ) => {
-        $(#[$pm])*
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct $plain {
-            $( #[doc = $help] #[doc = ""] $(#[$fm])* pub $f: u64, )*
-        }
-
-        impl $plain {
-            /// Fold another copy into this one (every field adds).
-            pub fn merge(&mut self, other: &$plain) {
-                $( self.$f += other.$f; )*
-            }
-
-            /// Every declared metric with its value.
-            pub fn readings(&self) -> $crate::Readings {
-                const METRICS: &[$crate::Metric] = &[
-                    $( $crate::__metric!($f $kind $group [] [] $help), )*
-                ];
-                $crate::Readings::new(METRICS, vec![ $( $crate::Reading::Value(self.$f), )* ])
-            }
-        }
-    };
-
-    // A reader for a plain struct declared elsewhere, whose `u64`
-    // fields are the metrics.
     (
         $(#[$dm:meta])*
         $vis:vis fn $reader:ident($ty:ty) in $group:literal {
@@ -256,14 +256,13 @@ macro_rules! metrics {
     ) => {
         $(#[$dm])*
         $vis fn $reader(m: &$ty) -> $crate::Readings {
-            const METRICS: &[$crate::Metric] = &[
-                $( $crate::__metric!($f $kind $group [] [] $help), )*
-            ];
-            $crate::Readings::new(METRICS, vec![ $( $crate::Reading::Value(m.$f), )* ])
+            $crate::Readings::new(
+                &[ $( $crate::__metric!($f $kind $group $help, None, true), )* ],
+                vec![ $( $crate::Reading::Value(m.$f), )* ],
+            )
         }
     };
 
-    // A struct of atomics, read in sections.
     (
         $(#[$sm:meta])*
         pub struct $name:ident {
@@ -272,26 +271,21 @@ macro_rules! metrics {
         }
     ) => {
         $crate::__metrics_atomic! {
-            head: [$(#[$sm])*] $name
-            fields: [ $( $(#[$xm])* pub $xf: $xt, )* ]
-            methods: []
-            sections: [ $( [ $sec $group { $($body)* } ] )+ ]
+            @sections [$(#[$sm])*] $name [ $( $(#[$xm])* pub $xf: $xt, )* ] []
+            [ $( [$sec $group { $($body)* }] )+ ]
         }
     };
 }
 
-/// Internal to [`metrics!`]: walks the sections of an atomic struct
-/// one entry at a time, collecting fields and section readers.
+/// Internal to [`metrics!`]: builds an atomic struct one section, and
+/// within it one entry, at a time. The state is the struct's head and
+/// name, its fields so far, its reader methods so far and the sections
+/// left; within a section, also the section's name and group and its
+/// metrics and their reads so far.
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __metrics_atomic {
-    // Every section done: emit the struct and its readers.
-    (
-        head: [$($head:tt)*] $name:ident
-        fields: [$($fields:tt)*]
-        methods: [$($methods:tt)*]
-        sections: []
-    ) => {
+    (@sections [$($head:tt)*] $name:ident [$($fields:tt)*] [$($methods:tt)*] []) => {
         $($head)*
         #[derive(Debug, Default)]
         pub struct $name { $($fields)* }
@@ -299,130 +293,97 @@ macro_rules! __metrics_atomic {
         impl $name { $($methods)* }
     };
 
-    // Open the next section.
     (
-        head: $head:tt $name:ident
-        fields: $fields:tt
-        methods: $methods:tt
-        sections: [ [ $sec:ident $group:literal { $($body:tt)* } ] $($secs:tt)* ]
+        @sections $head:tt $name:ident $fields:tt $methods:tt
+        [ [$sec:ident $group:literal { $($body:tt)* }] $($secs:tt)* ]
     ) => {
         $crate::__metrics_atomic! {
-            @entry head: $head $name fields: $fields methods: $methods
-            section: [$sec $group] descs: [] reads: []
-            entries: [ $($body)* ]
-            sections: [ $($secs)* ]
+            @entries [$head $name $methods [$($secs)*] $sec] $group $fields [] [] $($body)*
         }
     };
 
-    // Section done: emit its reader.
+    // Section done: add its reader.
     (
-        @entry head: $head:tt $name:ident fields: $fields:tt methods: [$($methods:tt)*]
-        section: [$sec:ident $group:literal]
-        descs: [$($descs:tt)*] reads: [$( ($($read:tt)*) )*]
-        entries: []
-        sections: $secs:tt
+        @entries [$head:tt $name:ident [$($methods:tt)*] $secs:tt $sec:ident] $group:literal
+        $fields:tt [$($metrics:tt)*] [$( ($($read:tt)*) )*]
     ) => {
         $crate::__metrics_atomic! {
-            head: $head $name
-            fields: $fields
-            methods: [
+            @sections $head $name $fields [
                 $($methods)*
-                #[doc = concat!(
-                    "Read the metrics of the `", stringify!($sec), "` section (group `",
-                    $group, "`), in declaration order."
-                )]
+                #[doc = concat!("Read the `", $group, "` metrics, in declaration order.")]
                 pub fn $sec(&self) -> $crate::Readings {
-                    const METRICS: &[$crate::Metric] = &[$($descs)*];
-                    $crate::Readings::new(METRICS, vec![ $( $crate::__read!(self $($read)*), )* ])
+                    $crate::Readings::new(
+                        &[$($metrics)*],
+                        vec![ $( $crate::__read!(self $($read)*), )* ],
+                    )
                 }
-            ]
-            sections: $secs
+            ] $secs
         }
     };
 
-    // `key: derived f` — computed, `stats` only.
     (
-        @entry head: $head:tt $name:ident fields: $fields:tt methods: $methods:tt
-        section: [$sec:ident $group:literal]
-        descs: [$($descs:tt)*] reads: [$($reads:tt)*]
-        entries: [ $(#[$m:meta])* $f:ident: derived $fun:path, $($rest:tt)* ]
-        sections: $secs:tt
+        @entries $ctx:tt $group:literal $fields:tt [$($metrics:tt)*] [$($reads:tt)*]
+        $(#[$m:meta])* $f:ident: derived $fun:path, $($rest:tt)*
     ) => {
         $crate::__metrics_atomic! {
-            @entry head: $head $name fields: $fields methods: $methods
-            section: [$sec $group]
-            descs: [ $($descs)* $crate::Metric {
-                key: stringify!($f),
-                kind: $crate::Kind::Derived,
-                help: "",
-                group: $group,
-                name: None,
-                in_stats: true,
-            }, ]
-            reads: [ $($reads)* (derived $fun) ]
-            entries: [ $($rest)* ]
-            sections: $secs
+            @entries $ctx $group $fields
+            [$($metrics)* $crate::__metric!($f Derived $group "", None, true),]
+            [$($reads)* (@ $fun)] $($rest)*
         }
     };
 
-    // `key: kind at a.b "help"` — stored in a nested struct.
     (
-        @entry head: $head:tt $name:ident fields: $fields:tt methods: $methods:tt
-        section: [$sec:ident $group:literal]
-        descs: [$($descs:tt)*] reads: [$($reads:tt)*]
-        entries: [ $(#[$m:meta])* $f:ident: $kind:ident at $($p:ident).+ $help:literal, $($rest:tt)* ]
-        sections: $secs:tt
+        @entries $ctx:tt $group:literal $fields:tt [$($metrics:tt)*] [$($reads:tt)*]
+        $(#[$m:meta])* $f:ident: $kind:ident at $($p:ident).+ $help:literal, $($rest:tt)*
     ) => {
         $crate::__metrics_atomic! {
-            @entry head: $head $name fields: $fields methods: $methods
-            section: [$sec $group]
-            descs: [ $($descs)* $crate::__metric!($f $kind $group [] [] $help), ]
-            reads: [ $($reads)* ($kind $($p).+) ]
-            entries: [ $($rest)* ]
-            sections: $secs
+            @entries $ctx $group $fields
+            [$($metrics)* $crate::__metric!($f $kind $group $help, None, true),]
+            [$($reads)* ($($p).+)] $($rest)*
         }
     };
 
-    // `key: kind prom_only "help"` — a field of its own, kept out of `stats`.
     (
-        @entry head: $head:tt $name:ident fields: [$($fields:tt)*] methods: $methods:tt
-        section: [$sec:ident $group:literal]
-        descs: [$($descs:tt)*] reads: [$($reads:tt)*]
-        entries: [ $(#[$m:meta])* $f:ident: $kind:ident prom_only $help:literal, $($rest:tt)* ]
-        sections: $secs:tt
+        @entries $ctx:tt $group:literal $fields:tt $metrics:tt $reads:tt
+        $(#[$m:meta])* $f:ident: $kind:ident prom_only $help:literal, $($rest:tt)*
     ) => {
         $crate::__metrics_atomic! {
-            @entry head: $head $name
-            fields: [ $($fields)* #[doc = $help] #[doc = ""] $(#[$m])* pub $f: $crate::__storage!($kind), ]
-            methods: $methods
-            section: [$sec $group]
-            descs: [ $($descs)* $crate::__metric!($f $kind $group [] [prom_only] $help), ]
-            reads: [ $($reads)* ($kind $f) ]
-            entries: [ $($rest)* ]
-            sections: $secs
+            @field $ctx $group $fields $metrics $reads
+            [$(#[$m])* $f $kind $help, None, false] $($rest)*
         }
     };
 
-    // `key: kind [as "family"] "help"` — a field of its own.
     (
-        @entry head: $head:tt $name:ident fields: [$($fields:tt)*] methods: $methods:tt
-        section: [$sec:ident $group:literal]
-        descs: [$($descs:tt)*] reads: [$($reads:tt)*]
-        entries: [
-            $(#[$m:meta])* $f:ident: $kind:ident $(as $fam:literal)? $help:literal,
-            $($rest:tt)*
-        ]
-        sections: $secs:tt
+        @entries $ctx:tt $group:literal $fields:tt $metrics:tt $reads:tt
+        $(#[$m:meta])* $f:ident: $kind:ident as $fam:literal $help:literal, $($rest:tt)*
     ) => {
         $crate::__metrics_atomic! {
-            @entry head: $head $name
-            fields: [ $($fields)* #[doc = $help] #[doc = ""] $(#[$m])* pub $f: $crate::__storage!($kind), ]
-            methods: $methods
-            section: [$sec $group]
-            descs: [ $($descs)* $crate::__metric!($f $kind $group [$($fam)?] [] $help), ]
-            reads: [ $($reads)* ($kind $f) ]
-            entries: [ $($rest)* ]
-            sections: $secs
+            @field $ctx $group $fields $metrics $reads
+            [$(#[$m])* $f $kind $help, Some($fam), true] $($rest)*
+        }
+    };
+
+    (
+        @entries $ctx:tt $group:literal $fields:tt $metrics:tt $reads:tt
+        $(#[$m:meta])* $f:ident: $kind:ident $help:literal, $($rest:tt)*
+    ) => {
+        $crate::__metrics_atomic! {
+            @field $ctx $group $fields $metrics $reads
+            [$(#[$m])* $f $kind $help, None, true] $($rest)*
+        }
+    };
+
+    // An entry with a field of its own.
+    (
+        @field $ctx:tt $group:literal [$($fields:tt)*] [$($metrics:tt)*] [$($reads:tt)*]
+        [$(#[$m:meta])* $f:ident $kind:ident $help:literal, $name:expr, $in_stats:expr]
+        $($rest:tt)*
+    ) => {
+        $crate::__metrics_atomic! {
+            @entries $ctx $group
+            [$($fields)* #[doc = $help] #[doc = ""] $(#[$m])* pub $f: $crate::storage::$kind,]
+            [$($metrics)* $crate::__metric!($f $kind $group $help, $name, $in_stats),]
+            [$($reads)* ($f)] $($rest)*
         }
     };
 }
@@ -431,78 +392,27 @@ macro_rules! __metrics_atomic {
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __metric {
-    ($f:ident $kind:ident $group:literal [$($fam:literal)?] [$($po:ident)?] $help:literal) => {
+    ($f:ident $kind:ident $group:literal $help:literal, $name:expr, $in_stats:expr) => {
         $crate::Metric {
             key: stringify!($f),
-            kind: $crate::__kind!($kind),
+            kind: $crate::Kind::$kind,
             help: $help,
             group: $group,
-            name: $crate::__family!($($fam)?),
-            in_stats: $crate::__in_stats!($($po)?),
+            name: $name,
+            in_stats: $in_stats,
         }
     };
 }
 
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __kind {
-    (counter) => {
-        $crate::Kind::Counter
-    };
-    (gauge) => {
-        $crate::Kind::Gauge
-    };
-    (histogram) => {
-        $crate::Kind::Histogram
-    };
-}
-
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __family {
-    () => {
-        None
-    };
-    ($fam:literal) => {
-        Some($fam)
-    };
-}
-
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __in_stats {
-    () => {
-        true
-    };
-    (prom_only) => {
-        false
-    };
-}
-
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __storage {
-    (counter) => {
-        ::std::sync::atomic::AtomicU64
-    };
-    (gauge) => {
-        ::std::sync::atomic::AtomicU64
-    };
-    (histogram) => {
-        $crate::Histogram
-    };
-}
-
+/// Internal to [`metrics!`]: one read, of storage at a path or of a
+/// derived value (`@ f`).
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __read {
-    ($s:tt derived $fun:path) => {
+    ($s:tt @ $fun:path) => {
         $crate::Reading::Json($fun($s))
     };
-    ($s:tt histogram $($p:ident).+) => {
-        $crate::Reading::Hist(Box::new($s.$($p).+.snapshot()))
-    };
-    ($s:tt $kind:ident $($p:ident).+) => {
-        $crate::Reading::Value($s.$($p).+.load(::std::sync::atomic::Ordering::Relaxed))
+    ($s:tt $($p:ident).+) => {
+        $crate::Read::read(&$s.$($p).+)
     };
 }

@@ -14,52 +14,52 @@ fenestra_obs::metrics! {
     /// Monotonic counters for the server's network layer.
     pub struct ServerMetrics {
         fn readings in "server" {
-            connections: counter "Connections accepted",
-            conns_open: gauge "Connections currently open, either wire plane",
+            connections: Counter "Connections accepted",
+            conns_open: Gauge "Connections currently open, either wire plane",
             /// Negotiated via the `FNB1` magic; a subset of `conns_open`.
-            conns_binary: gauge "Open connections that negotiated the binary plane",
+            conns_binary: Gauge "Open connections that negotiated the binary plane",
             /// Line terminators included.
-            bytes_in: counter "Bytes read off sockets",
+            bytes_in: Counter "Bytes read off sockets",
             /// Line terminators included.
-            bytes_out: counter "Bytes written to sockets",
-            queue_hwm: gauge "High-water mark of ingest queue depth across shards",
+            bytes_out: Counter "Bytes written to sockets",
+            queue_hwm: Gauge "High-water mark of ingest queue depth across shards",
             /// `query` commands, successful or not.
-            queries: counter "Queries served",
+            queries: Counter "Queries served",
             /// By the [`crate::Backpressure::Shed`] policy.
-            shed: counter "Events shed under backpressure",
-            events: counter "Events admitted into the ingest queues",
-            watches: counter "Watches registered",
+            shed: Counter "Events shed under backpressure",
+            events: Counter "Events admitted into the ingest queues",
+            watches: Counter "Watches registered",
             /// An ack means *admitted*, not *applied*; this counter is
             /// how admitted-but-discarded events become visible.
-            late_dropped: counter "Admitted events dropped as beyond the lateness bound",
+            late_dropped: Counter "Admitted events dropped as beyond the lateness bound",
             /// Each is one apply pass + one WAL frame + one fsync under
             /// `always` + one watch poll, however many events it covered.
-            ingest_batches: counter "Group-commit batches applied",
-            ingest_batched_events: counter "Events covered by group-commit batches",
-            ingest_batch_max: gauge "Largest single ingest batch applied",
+            ingest_batches: Counter "Group-commit batches applied",
+            ingest_batched_events: Counter "Events covered by group-commit batches",
+            ingest_batch_max: Gauge "Largest single ingest batch applied",
             ingest_batch_mean: derived ServerMetrics::batch_mean,
             /// True group commits, where the fsync was amortized.
-            group_commits: counter "WAL commits covering more than one event",
+            group_commits: Counter "WAL commits covering more than one event",
             /// Under `--fsync always`: released, in per-connection FIFO
             /// order, once a WAL fsync covers every event of the frame
             /// (with a lateness bound, only after the watermark passes
             /// it). Shed frames are not counted.
-            acks_deferred: counter "Ingest frames admitted with their ack held for durability",
+            acks_deferred: Counter "Ingest frames admitted with their ack held for durability",
             /// Steady-state, `acks_deferred - acks_released` is the
             /// number of in-flight held acks across all connections.
-            acks_released: counter "Deferred acks resolved (ack or failure line sent)",
-            wal_appends: counter "WAL op batches appended",
+            acks_released: Counter "Deferred acks resolved (ack or failure line sent)",
+            wal_appends: Counter "WAL op batches appended",
             /// Frame headers included.
-            wal_bytes: counter "WAL payload bytes appended",
-            fsyncs: counter "WAL fsync calls issued",
+            wal_bytes: Counter "WAL payload bytes appended",
+            fsyncs: Counter "WAL fsync calls issued",
             /// From snapshot + WAL tail.
-            recovered_ops: gauge "Ops replayed during boot recovery",
-            recovery_ms: gauge "Wall-clock milliseconds spent in boot recovery",
-            wal_discarded_bytes: gauge "Torn WAL tail bytes discarded during recovery",
+            recovered_ops: Gauge "Ops replayed during boot recovery",
+            recovery_ms: Gauge "Wall-clock milliseconds spent in boot recovery",
+            wal_discarded_bytes: Gauge "Torn WAL tail bytes discarded during recovery",
             /// Decoded but unreplayable.
-            wal_discarded_ops: gauge "WAL ops discarded during recovery",
+            wal_discarded_ops: Gauge "WAL ops discarded during recovery",
             /// By `--gc-horizon-ms`, summed across shards.
-            gc_removed: counter "Closed facts reclaimed by horizon GC",
+            gc_removed: Counter "Closed facts reclaimed by horizon GC",
         }
     }
 }
@@ -67,9 +67,9 @@ fenestra_obs::metrics! {
 fenestra_obs::metrics! {
     /// The plan cache's counters, read from [`fenestra_query::PlanCache::stats`].
     pub fn plan_cache(CacheStats) in "plan_cache" {
-        hits: counter "Query statements served by an already-compiled plan",
-        misses: counter "Query statements that ran the planner (parse, rewrite, lower)",
-        entries: gauge "Distinct statements currently held in the plan cache",
+        hits: Counter "Query statements served by an already-compiled plan",
+        misses: Counter "Query statements that ran the planner (parse, rewrite, lower)",
+        entries: Gauge "Distinct statements currently held in the plan cache",
     }
 }
 

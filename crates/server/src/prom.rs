@@ -103,12 +103,26 @@ fn families(out: &mut String, series: &[(Option<usize>, Readings)]) {
         let _ = writeln!(out, "# TYPE {name} {kind}");
         for (shard, r) in series {
             if let Reading::Value(v) = r.0[j].1 {
-                let _ = match shard {
-                    Some(i) => writeln!(out, "{name}{{shard=\"{i}\"}} {v}"),
-                    None => writeln!(out, "{name} {v}"),
-                };
+                let _ = writeln!(out, "{name}{} {v}", labels(*shard, None));
             }
         }
+    }
+}
+
+/// `{shard="N",le="B"}` with whichever labels are present; empty when
+/// neither is.
+fn labels(shard: Option<usize>, le: Option<&str>) -> String {
+    let parts: Vec<String> = [
+        shard.map(|s| format!("shard=\"{s}\"")),
+        le.map(|b| format!("le=\"{b}\"")),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    if parts.is_empty() {
+        String::new()
+    } else {
+        format!("{{{}}}", parts.join(","))
     }
 }
 
@@ -123,30 +137,7 @@ fn histogram(
 ) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} histogram");
-    for (shard, snap) in series {
-        let label = |le: Option<u64>| -> String {
-            let mut parts = Vec::new();
-            if let Some(s) = shard {
-                parts.push(format!("shard=\"{s}\""));
-            }
-            match le {
-                Some(b) => parts.push(format!("le=\"{b}\"")),
-                None => {
-                    if parts.is_empty() {
-                        return String::new();
-                    }
-                }
-            }
-            format!("{{{}}}", parts.join(","))
-        };
-        let inf_label = {
-            let mut parts = Vec::new();
-            if let Some(s) = shard {
-                parts.push(format!("shard=\"{s}\""));
-            }
-            parts.push("le=\"+Inf\"".to_string());
-            format!("{{{}}}", parts.join(","))
-        };
+    for &(shard, ref snap) in series {
         let mut cum = 0u64;
         // The last bucket's upper bound is u64::MAX; fold it into +Inf
         // rather than printing a 20-digit `le`.
@@ -154,16 +145,18 @@ fn histogram(
         if snap.count > 0 {
             for (i, &b) in snap.buckets.iter().enumerate().take(hi + 1) {
                 cum += b;
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{} {cum}",
-                    label(Some(bucket_upper_bound(i)))
-                );
+                let le = bucket_upper_bound(i).to_string();
+                let _ = writeln!(out, "{name}_bucket{} {cum}", labels(shard, Some(&le)));
             }
         }
-        let _ = writeln!(out, "{name}_bucket{inf_label} {}", snap.count);
-        let _ = writeln!(out, "{name}_sum{} {}", label(None), snap.sum);
-        let _ = writeln!(out, "{name}_count{} {}", label(None), snap.count);
+        let _ = writeln!(
+            out,
+            "{name}_bucket{} {}",
+            labels(shard, Some("+Inf")),
+            snap.count
+        );
+        let _ = writeln!(out, "{name}_sum{} {}", labels(shard, None), snap.sum);
+        let _ = writeln!(out, "{name}_count{} {}", labels(shard, None), snap.count);
     }
 }
 

@@ -2648,7 +2648,7 @@ pub(crate) fn build_stats(
     obj.insert("ok".into(), Json::Bool(true));
     obj.insert("engine".into(), merged.readings().json());
     obj.insert("server".into(), metrics.readings().json());
-    obj.insert("stages".into(), obs.merged_stages_json());
+    obj.insert("stages".into(), obs.merged_stages().json());
     obj.insert("plans".into(), Json::Object(plan_obj));
     obj.insert("shards".into(), Json::Array(per_shard));
     // Present only when replication is configured, so a plain server's

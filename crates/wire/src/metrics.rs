@@ -1,12 +1,10 @@
 //! The shape of the server's `stats` reply.
 //!
 //! Every metric in it is declared once, in the metric registry of
-//! `fenestra-obs` (its `metrics!` macro): the declaration gives the
-//! key, the kind and the help text, and the same declaration renders
-//! the `stats` object below and the Prometheus families on
-//! `--metrics-addr` (see `fenestra-server`'s `prom` module). So this
-//! page names the groups, not their keys; the keys are the field names
-//! of the declaring structs.
+//! `fenestra-obs` (its `metrics!` macro), and the same declaration
+//! renders the Prometheus families on `--metrics-addr`. So this page
+//! names the groups, not their keys: the keys are the field names of
+//! the declaring structs.
 //!
 //! ```json
 //! {"ok":true, "engine":{…}, "server":{…}, "stages":{…}, "plans":{…},
@@ -15,35 +13,24 @@
 //!  "replication":{…}}
 //! ```
 //!
-//! * `engine` — the shard engines' counters
-//!   ([`fenestra_core::EngineMetrics`]) **summed**: the same totals a
-//!   single-shard run reports, and the same object
-//!   `fenestra run --metrics-json` prints. Read from published
-//!   per-shard atomics on the connection thread (`stats` is not a
-//!   processing barrier; the `sync` command is).
-//! * `server` — the network layer's counters (`ServerMetrics` in
-//!   `fenestra-server`), shared across shards and reported once, plus
-//!   the derived `ingest_batch_mean`.
-//! * `stages` — latency histogram summaries
-//!   (`{count, p50, p90, p99, max, mean}`): the connection plane's
-//!   (`PipelineObs::stages`), then every shard stage
-//!   (`ShardObs::stages`) **merged across shards**.
-//! * `plans` — `cache` (the plan cache's hits, misses and entries),
-//!   then the planner's compile and exec latency (`PlanObs`).
-//! * `shards[i].shard` — the shard index (also the `-<shard>-` in that
-//!   shard's WAL segment names and the `.shard<i>` snapshot suffix).
-//! * `shards[i].engine` — that shard's own counters, same flat shape.
-//!   Uneven `events` across shards means the entity keys hash
-//!   unevenly (few distinct keys, or one hot key).
-//! * `shards[i].held_acks` — durable acks the shard is currently
-//!   holding: frames admitted but not yet covered by a fsynced WAL
-//!   commit (nonzero steady-state usually means a lateness bound is
-//!   keeping events in the reorder buffer). The same value is also in
-//!   `gauges`.
-//! * `shards[i].gauges` — point-in-time gauges (`ShardObs::gauges`);
-//!   `queue_hwm` here is the shard's own high-water mark,
-//!   `server.queue_hwm` the max over shards.
-//! * `shards[i].stages` — the shard's stage histograms, unmerged.
-//! * `replication` — present only when replication is configured:
-//!   `role` (`"leader"` or `"follower"`), then the counters, gauges and
-//!   histograms of `ReplObs`.
+//! * `engine` — [`fenestra_core::EngineMetrics`] **summed** over the
+//!   shards: the totals a single-shard run reports, and the object
+//!   `fenestra run --metrics-json` prints. Read from published atomics
+//!   (`stats` is not a processing barrier; the `sync` command is).
+//! * `server` — `fenestra-server`'s `ServerMetrics`, shared across
+//!   shards, plus the derived `ingest_batch_mean`.
+//! * `stages` — histogram summaries (`{count, p50, p90, p99, max,
+//!   mean}`): the connection plane's, then each shard stage merged
+//!   across shards.
+//! * `plans` — `cache` (hits, misses, entries), then the planner's
+//!   compile and exec latency.
+//! * `shards[i]` — the shard index (also the `-<shard>-` in its WAL
+//!   segment names and the `.shard<i>` snapshot suffix), its own
+//!   engine counters (uneven `events` means the entity keys hash
+//!   unevenly), `held_acks` (frames admitted but not yet covered by a
+//!   fsynced commit; also among the gauges), its gauges (`queue_hwm`
+//!   is the shard's own; `server.queue_hwm` is the max over shards)
+//!   and its stages, unmerged.
+//! * `replication` — only when replication is configured: `role`
+//!   (`"leader"` or `"follower"`), then the replication counters,
+//!   gauges and histograms.
