@@ -284,32 +284,28 @@ mod tests {
     #[test]
     fn snapshots_under_concurrent_recording_are_consistent() {
         use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let h = Arc::new(Histogram::new());
-        let stop = Arc::new(AtomicBool::new(false));
-        let recorders: Vec<_> = (0..2u64)
-            .map(|t| {
-                let (h, stop) = (h.clone(), stop.clone());
-                std::thread::spawn(move || {
+        let h = Histogram::new();
+        let stop = AtomicBool::new(false);
+        let torn = std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (h, stop) = (&h, &stop);
+                s.spawn(move || {
                     let mut v = t;
                     while !stop.load(Ordering::Relaxed) {
                         h.record(v % 5000);
                         v += 7;
                     }
-                })
-            })
-            .collect();
-        let mut torn = 0;
-        for _ in 0..200_000 {
-            let s = h.snapshot();
-            if s.buckets.iter().sum::<u64>() != s.count {
-                torn += 1;
+                });
             }
-        }
-        stop.store(true, Ordering::Relaxed);
-        for r in recorders {
-            r.join().unwrap();
-        }
+            let torn = (0..200_000)
+                .filter(|_| {
+                    let snap = h.snapshot();
+                    snap.buckets.iter().sum::<u64>() != snap.count
+                })
+                .count();
+            stop.store(true, Ordering::Relaxed);
+            torn
+        });
         assert!(h.snapshot().count > 0);
         assert_eq!(torn, 0, "snapshots with count != sum of buckets");
     }

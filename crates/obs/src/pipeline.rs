@@ -306,15 +306,4 @@ mod tests {
         assert_eq!(s.queue_depth.load(Ordering::Relaxed), 1);
         assert_eq!(s.queue_hwm.load(Ordering::Relaxed), 9);
     }
-
-    #[test]
-    fn repl_stats_show_role_not_following() {
-        let r = ReplObs::default();
-        let j = r.readings().json();
-        assert_eq!(j.get("role").and_then(|v| v.as_str()), Some("leader"));
-        assert!(j.get("following").is_none());
-        r.following.store(1, Ordering::Relaxed);
-        let j = r.readings().json();
-        assert_eq!(j.get("role").and_then(|v| v.as_str()), Some("follower"));
-    }
 }

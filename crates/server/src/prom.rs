@@ -358,7 +358,6 @@ fenestra_plan_exec_us_count 2
         {
             names.extend(series[0].1 .0.iter().filter_map(|(m, _)| m.family()));
         }
-        assert_eq!(names.len(), 79);
         let missing: Vec<&String> = names
             .iter()
             .filter(|name| !tutorial.contains(&format!("`{name}`")))

@@ -28,7 +28,7 @@
 
 use crate::admit::{AckPart, AckSink, AckTable, Flush, FrameId, Replies, Stage};
 use crate::config::{Backpressure, ServerConfig};
-use crate::metrics::ServerMetrics;
+use crate::metrics::{plan_cache, ServerMetrics};
 use crate::proto::{self, Request};
 use crossbeam::channel::{self, Receiver, Sender};
 use fenestra_base::error::{Error, Result};
@@ -2633,6 +2633,8 @@ pub(crate) fn build_stats(
         let mut obj = Map::new();
         obj.insert("shard".into(), Json::from(i as u32));
         obj.insert("engine".into(), engine.readings().json());
+        // Also among the gauges; this copy is part of the reply's
+        // established shape.
         obj.insert(
             "held_acks".into(),
             Json::from(sh.held_acks.load(Ordering::Relaxed)),
@@ -2642,7 +2644,7 @@ pub(crate) fn build_stats(
         per_shard.push(Json::Object(obj));
     }
     let mut plan_obj = Map::new();
-    plan_obj.insert("cache".into(), crate::metrics::plan_cache(plans).json());
+    plan_obj.insert("cache".into(), plan_cache(plans).json());
     obs.plan.readings().write_json(&mut plan_obj);
     let mut obj = Map::new();
     obj.insert("ok".into(), Json::Bool(true));
