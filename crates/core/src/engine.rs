@@ -389,8 +389,9 @@ impl Engine {
         let mut to_publish: Vec<(Symbol, Event)> = Vec::new();
         {
             let store = self.store.read().expect("store lock");
+            let mut pass = crate::watch::PollPass::with_capacity(self.watches.len());
             for (w, stream) in &mut self.watches {
-                for d in w.poll(&store) {
+                for d in w.poll_in(&mut pass, &store) {
                     let rec = crate::watch::delta_record(&d);
                     to_publish.push((*stream, Event::new(*stream, at, rec)));
                 }

@@ -40,4 +40,4 @@ pub use config::{EngineConfig, Semantics};
 pub use engine::{Engine, QueryResult};
 pub use fenestra_obs::EngineMetrics;
 pub use shard::{default_shards, ShardRouter, ShardedEngine};
-pub use watch::{Watch, WatchDelta};
+pub use watch::{PollPass, Watch, WatchDelta};

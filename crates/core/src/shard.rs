@@ -453,7 +453,8 @@ impl ShardedEngine {
     /// are re-sorted, deduplicated, and re-limited/counted; history
     /// plans merge every shard's spans for the entity name by
     /// `(validity start, shard, seq)` (see [`merge_history`]); window
-    /// plans collect facts per shard and aggregate the merged batch.
+    /// plans fold each shard's facts into partial aggregates and merge
+    /// those.
     pub fn execute_plan(
         &self,
         plan: &fenestra_query::CachedPlan,
@@ -482,14 +483,12 @@ impl ShardedEngine {
                 Ok(QueryResult::History(merge_history(parts)))
             }
             PhysicalPlan::WindowAgg(w) => {
-                let batches = self
+                let parts = self
                     .shards
                     .iter()
-                    .map(|s| w.collect_facts(&s.store()))
+                    .map(|s| w.partials(&s.store()))
                     .collect::<Result<Vec<_>>>()?;
-                Ok(QueryResult::Rows(w.aggregate(
-                    fenestra_query::WindowPhys::merge_fact_batches(batches),
-                )?))
+                Ok(QueryResult::Rows(w.merge(parts)?))
             }
         }
     }

@@ -33,6 +33,7 @@ pub mod exec;
 pub mod parser;
 pub mod plan;
 pub mod sql;
+pub mod window;
 
 pub use ast::{Query, Term, TimeSpec, TriplePattern};
 pub use cache::{CacheStats, PlanCache};
@@ -43,3 +44,4 @@ pub use plan::{
     LogicalPlan, PhysicalPlan, PlanOutput, Statement, WindowPhys,
 };
 pub use sql::{parse_select_stmt, SelectStmt, WindowKind};
+pub use window::WindowPartials;

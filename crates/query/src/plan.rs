@@ -25,23 +25,20 @@
 //! Physical select plans fold back into a single [`Query`] executed by
 //! the unchanged [`crate::exec`] machinery, which is what guarantees
 //! legacy statements produce byte-identical replies through the
-//! planner. Windowed statements lower to a [`WindowPhys`] whose fact
-//! collection runs per shard and whose aggregation drives a
-//! `fenestra-stream` window operator over the merged batch.
+//! planner. Windowed statements lower to a [`WindowPhys`], which each
+//! shard folds into partial aggregates and the coordinator merges
+//! (see [`crate::window`]).
 
 use crate::ast::{Query, Term, TimeSpec, TriplePattern};
 use crate::exec::{Bindings, QueryOptions};
 use crate::parser::{parse_query, ParsedQuery};
 use crate::sql::{parse_select_stmt, AggName, SelectItem, SelectStmt, WindowKind};
 use fenestra_base::error::{Error, Result};
-use fenestra_base::expr::{BinOp, Expr, SliceScope};
+use fenestra_base::expr::{BinOp, Expr};
 use fenestra_base::parse::{lex, Tok};
-use fenestra_base::record::{Event, Record};
 use fenestra_base::symbol::Symbol;
-use fenestra_base::time::{Duration, Interval, Timestamp};
+use fenestra_base::time::{Interval, Timestamp};
 use fenestra_base::value::Value;
-use fenestra_stream::aggregate::{AggFunc, AggSpec};
-use fenestra_stream::oneshot::{run_window_batch, BatchWindow};
 use fenestra_temporal::{Provenance, TemporalStore};
 use std::sync::Arc;
 
@@ -153,8 +150,10 @@ pub enum PhysicalPlan {
     WindowAgg(Arc<WindowPhys>),
 }
 
-/// Physical windowed aggregation: per-shard fact collection feeding a
-/// one-shot stream window operator on the coordinator.
+/// Physical windowed aggregation in two phases: each shard folds its
+/// facts into partial aggregates ([`WindowPhys::partials`]), and the
+/// coordinator merges them and fires the windows
+/// ([`WindowPhys::merge`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowPhys {
     /// The attribute whose timeline is scanned.
@@ -334,7 +333,7 @@ fn as_eq_const(e: &Expr) -> Option<(Symbol, Value)> {
     }
 }
 
-fn entity_col() -> Symbol {
+pub(crate) fn entity_col() -> Symbol {
     Symbol::intern("entity")
 }
 
@@ -1013,103 +1012,6 @@ impl CachedPlan {
     }
 }
 
-// ----- window-plan execution --------------------------------------------------
-
-impl WindowPhys {
-    /// Pull this plan's facts out of one store as synthetic events
-    /// (`{entity, <attr>}` stamped at each fact's validity start), in
-    /// deterministic (entity-name, validity-start) order, with the
-    /// plan's filters and range already applied.
-    pub fn collect_facts(&self, store: &TemporalStore) -> Result<Vec<Event>> {
-        let entity = entity_col();
-        let mut named: Vec<(Symbol, fenestra_temporal::EntityId)> =
-            store.named_entities().collect();
-        named.sort_by_key(|(n, _)| n.as_str());
-        let mut out = Vec::new();
-        for (name, e) in named {
-            for (interval, value, _prov) in store.history(e, self.attr) {
-                if let Some((from, to)) = self.range {
-                    if !interval.overlaps_range(from, to) {
-                        continue;
-                    }
-                }
-                let bindings = [(entity, Value::Str(name)), (self.attr, value)];
-                let mut keep = true;
-                for f in &self.filters {
-                    if !f.eval_bool(&SliceScope(&bindings))? {
-                        keep = false;
-                        break;
-                    }
-                }
-                if !keep {
-                    continue;
-                }
-                let mut rec = Record::new();
-                rec.set(entity, Value::Str(name));
-                rec.set(self.attr, value);
-                out.push(Event::new("facts", interval.start, rec));
-            }
-        }
-        // Stable: equal timestamps keep entity-name order.
-        out.sort_by_key(|ev| ev.ts);
-        Ok(out)
-    }
-
-    /// Merge per-shard fact batches deterministically: stable-sort by
-    /// timestamp, so equal timestamps keep (shard, seq) order.
-    pub fn merge_fact_batches(batches: Vec<Vec<Event>>) -> Vec<Event> {
-        let mut all: Vec<Event> = batches.into_iter().flatten().collect();
-        all.sort_by_key(|ev| ev.ts);
-        all
-    }
-
-    /// Aggregate a merged, timestamp-sorted fact batch into output
-    /// rows (sorted, deduplicated, limited).
-    pub fn aggregate(&self, events: Vec<Event>) -> Result<Vec<Bindings>> {
-        let window = match self.window {
-            WindowKind::Tumbling { size_ms } => BatchWindow::Tumbling(Duration::millis(size_ms)),
-            WindowKind::Sliding { size_ms, hop_ms } => {
-                BatchWindow::Sliding(Duration::millis(size_ms), Duration::millis(hop_ms))
-            }
-            WindowKind::Session { gap_ms } => BatchWindow::Session(Duration::millis(gap_ms)),
-        };
-        let specs: Vec<AggSpec> = self
-            .aggs
-            .iter()
-            .map(|a| match (a.func, a.column) {
-                (AggName::Count, _) => AggSpec::count(a.output),
-                (AggName::Sum, Some(c)) => AggSpec::new(AggFunc::Sum, c, a.output),
-                (AggName::Avg, Some(c)) => AggSpec::new(AggFunc::Avg, c, a.output),
-                (AggName::Min, Some(c)) => AggSpec::new(AggFunc::Min, c, a.output),
-                (AggName::Max, Some(c)) => AggSpec::new(AggFunc::Max, c, a.output),
-                (f, None) => unreachable!("{} without input column", f.name()),
-            })
-            .collect();
-        let records = run_window_batch(window, &self.keys, &specs, events)?;
-        let mut rows: Vec<Bindings> = records
-            .into_iter()
-            .map(|rec| {
-                self.columns
-                    .iter()
-                    .map(|c| (*c, rec.get_or_null(*c)))
-                    .collect()
-            })
-            .collect();
-        rows.sort();
-        rows.dedup();
-        if let Some(n) = self.limit {
-            rows.truncate(n);
-        }
-        Ok(rows)
-    }
-
-    /// Collect + aggregate against one store.
-    pub fn execute_local(&self, store: &TemporalStore) -> Result<Vec<Bindings>> {
-        let facts = self.collect_facts(store)?;
-        self.aggregate(facts)
-    }
-}
-
 // ----- rendering (EXPLAIN) ----------------------------------------------------
 
 fn fmt_term(t: &Term) -> String {
@@ -1327,22 +1229,26 @@ pub fn render_physical(plan: &PhysicalPlan, shards: usize) -> String {
                 &mut out,
                 depth,
                 &format!(
-                    "WindowAggregate window={} keys=[{}] aggs=[{}] emit=[{}]",
+                    "WindowMerge shards={shards} window={} emit=[{}]",
                     w.window,
-                    fmt_symbols(&w.keys),
-                    fmt_aggs(&w.aggs),
                     fmt_symbols(&w.columns)
                 ),
             );
             depth += 1;
-            if shards > 1 {
-                line(
-                    &mut out,
-                    depth,
-                    &format!("SortMerge shards={shards} order=(ts, shard, seq)"),
-                );
-                depth += 1;
-            }
+            let partial = match w.window {
+                WindowKind::Session { gap_ms } => format!("SessionPartial gap={gap_ms}"),
+                _ => format!("PanePartial pane={}", w.pane_len()),
+            };
+            line(
+                &mut out,
+                depth,
+                &format!(
+                    "{partial} keys=[{}] aggs=[{}]",
+                    fmt_symbols(&w.keys),
+                    fmt_aggs(&w.aggs)
+                ),
+            );
+            depth += 1;
             line(
                 &mut out,
                 depth,
@@ -1519,9 +1425,21 @@ mod tests {
         let (_, physical) = render_explain(&plan, 2);
         assert_eq!(
             physical,
-            "WindowAggregate window=tumbling(10000) keys=[] aggs=[count(*) AS n] emit=[window_start, n]\n\
-             \x20 SortMerge shards=2 order=(ts, shard, seq)\n\
+            "WindowMerge shards=2 window=tumbling(10000) emit=[window_start, n]\n\
+             \x20 PanePartial pane=10000 keys=[] aggs=[count(*) AS n]\n\
              \x20   FactScan attr=room range=[0, 60000) filters=[(room != \"hall\")]\n"
+        );
+        let plan = compile(
+            "SELECT entity, max(room) AS hi FROM state GROUP BY session(5s), entity LIMIT 3",
+        )
+        .unwrap();
+        let (_, physical) = render_explain(&plan, 1);
+        assert_eq!(
+            physical,
+            "Limit n=3\n\
+             \x20 WindowMerge shards=1 window=session(5000) emit=[entity, hi]\n\
+             \x20   SessionPartial gap=5000 keys=[entity] aggs=[max(room) AS hi]\n\
+             \x20     FactScan attr=room range=full filters=[]\n"
         );
     }
 
@@ -1560,21 +1478,36 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fact_merge_is_deterministic() {
-        let s = store();
-        let plan =
-            compile("SELECT window_start, count(room) AS n FROM state GROUP BY tumbling(100)")
-                .unwrap();
-        let PhysicalPlan::WindowAgg(w) = &plan.physical else {
-            panic!("expected window plan");
-        };
-        let local = w.execute_local(&s).unwrap();
-        // Simulate two shards: split facts, merge, aggregate.
-        let facts = w.collect_facts(&s).unwrap();
-        let (a, b): (Vec<_>, Vec<_>) = facts.into_iter().enumerate().partition(|(i, _)| i % 2 == 0);
-        let strip = |v: Vec<(usize, Event)>| v.into_iter().map(|(_, e)| e).collect::<Vec<_>>();
-        let merged = WindowPhys::merge_fact_batches(vec![strip(a), strip(b)]);
-        assert_eq!(w.aggregate(merged).unwrap(), local);
+    fn partials_of_split_stores_merge_like_one_store() {
+        let whole = store();
+        // The same facts split over two stores, one entity each.
+        let mut a = TemporalStore::new();
+        a.declare_attr("room", AttrSchema::one());
+        let v1 = a.named_entity("v1");
+        a.replace_at(v1, "room", "lobby", Timestamp::new(10))
+            .unwrap();
+        a.replace_at(v1, "room", "lab", Timestamp::new(150))
+            .unwrap();
+        let mut b = TemporalStore::new();
+        b.declare_attr("room", AttrSchema::one());
+        let v2 = b.named_entity("v2");
+        b.replace_at(v2, "room", "lab", Timestamp::new(20)).unwrap();
+        for src in [
+            "SELECT window_start, count(room) AS n FROM state GROUP BY tumbling(100)",
+            "SELECT window_start, room, count(*) AS n FROM state GROUP BY room, sliding(200, 100)",
+            "SELECT window_start, window_end, count(room) AS n FROM state GROUP BY session(15)",
+        ] {
+            let plan = compile(src).unwrap();
+            let PhysicalPlan::WindowAgg(w) = &plan.physical else {
+                panic!("expected window plan");
+            };
+            let local = w.execute_local(&whole).unwrap();
+            let parts = vec![w.partials(&a).unwrap(), w.partials(&b).unwrap()];
+            assert_eq!(w.merge(parts).unwrap(), local, "{src}");
+            // The fact-batch path folds into the same partials.
+            let facts = w.collect_facts(&whole).unwrap();
+            assert_eq!(w.aggregate(facts).unwrap(), local, "{src}");
+        }
     }
 
     #[test]

@@ -37,10 +37,13 @@ use fenestra_base::symbol::Symbol;
 use fenestra_base::time::{Duration, Interval, Timestamp};
 use fenestra_base::value::Value;
 use fenestra_core::shard::{merge_rows, partial_select};
-use fenestra_core::{Engine, EngineConfig, EngineMetrics, QueryResult, ShardRouter, Watch};
+use fenestra_core::{
+    Engine, EngineConfig, EngineMetrics, PollPass, QueryResult, ShardRouter, Watch,
+};
 use fenestra_obs::{PipelineObs, ShardObs};
 use fenestra_query::{
-    Bindings, CacheStats, CachedPlan, PhysicalPlan, PlanCache, Query, QueryOptions, WindowPhys,
+    Bindings, CacheStats, CachedPlan, PhysicalPlan, PlanCache, Query, QueryOptions, WindowPartials,
+    WindowPhys,
 };
 use fenestra_replica::{
     load_epoch, now_us, serve_follower, store_epoch, AckTracker, FollowerClient, LeaderConfig,
@@ -267,12 +270,13 @@ pub(crate) enum ShardCmd {
         attr: Symbol,
         reply: Sender<Option<HistorySpans>>,
     },
-    /// Fan-out windowed aggregation: this shard's slice of the fact
-    /// stream a [`WindowPhys`] scans, ts-ordered; the connection
-    /// thread merges the slices and runs the window operator once.
-    QueryFacts {
+    /// Fan-out windowed aggregation: this shard's facts for a
+    /// [`WindowPhys`], folded into partial aggregates (per-pane banks
+    /// or partial sessions); the connection thread merges the
+    /// partials and fires the windows.
+    QueryPartials {
         w: Arc<WindowPhys>,
-        reply: Sender<std::result::Result<Vec<Event>, String>>,
+        reply: Sender<std::result::Result<WindowPartials, String>>,
     },
     /// Register a standing query on this shard; deltas for this
     /// shard's partition of the rows go to `sink`. Watches of the
@@ -1341,8 +1345,8 @@ fn shard_loop(ctx: ShardCtx) {
                     .map_err(|e| e.to_string());
                 let _ = reply.send(res);
             }
-            ShardCmd::QueryFacts { w, reply } => {
-                let res = w.collect_facts(&engine.store()).map_err(|e| e.to_string());
+            ShardCmd::QueryPartials { w, reply } => {
+                let res = w.partials(&engine.store()).map_err(|e| e.to_string());
                 let _ = reply.send(res);
             }
             ShardCmd::QueryHistory {
@@ -1498,8 +1502,10 @@ fn shard_loop(ctx: ShardCtx) {
         // no state-mutating command ran since the last poll.
         if poll && !watches.is_empty() {
             let store = engine.store();
+            // Watches of one statement share one evaluation per pass.
+            let mut pass = PollPass::with_capacity(watches.len());
             watches.retain_mut(|(w, sink)| {
-                w.poll(&store)
+                w.poll_in(&mut pass, &store)
                     .iter()
                     .all(|d| sink.send(proto::delta_line(d, Some(&store))).is_ok())
             });
@@ -2592,23 +2598,22 @@ fn fan_out_history(ctx: &ConnCtx, entity: Symbol, attr: Symbol) -> String {
     proto::query_reply(&QueryResult::History(spans), None)
 }
 
-/// Fan a windowed aggregation out: every shard scans its slice of the
-/// fact stream (ts-ordered), the slices merge into one ordered stream
-/// (shard id then in-shard order break ts ties), and the window
-/// operator runs once over the merged stream.
+/// Fan a windowed aggregation out: every shard folds its facts into
+/// partial aggregates, and this thread merges them in shard order and
+/// fires the windows (see [`WindowPhys::merge`]).
 fn fan_out_window(ctx: &ConnCtx, w: &Arc<WindowPhys>) -> String {
-    let replies = fan_out(&ctx.shard_txs, |reply| ShardCmd::QueryFacts {
+    let replies = fan_out(&ctx.shard_txs, |reply| ShardCmd::QueryPartials {
         w: w.clone(),
         reply,
     });
     let Some(replies) = replies else {
         return proto::error("server shutting down");
     };
-    let batches = match replies.into_iter().collect() {
-        Ok(batches) => batches,
+    let parts = match replies.into_iter().collect() {
+        Ok(parts) => parts,
         Err(msg) => return proto::error(&msg),
     };
-    match w.aggregate(WindowPhys::merge_fact_batches(batches)) {
+    match w.merge(parts) {
         Ok(rows) => proto::query_reply(&QueryResult::Rows(rows), None),
         Err(e) => proto::error(&e.to_string()),
     }

@@ -531,6 +531,17 @@ impl AccumulatorBank {
         }
     }
 
+    /// Fold in a row whose every input field carries `value` (a
+    /// single-column row), without building a record.
+    pub fn add_value(&mut self, specs: &[AggSpec], value: Value, ts: Timestamp) {
+        for (acc, spec) in self.accs.iter_mut().zip(specs) {
+            match (spec.func, spec.field) {
+                (AggFunc::Count, _) | (_, None) => acc.add(Value::Null, ts),
+                _ => acc.add(value, ts),
+            }
+        }
+    }
+
     /// Remove a previously folded record.
     pub fn remove(&mut self, specs: &[AggSpec], rec: &Record, ts: Timestamp) {
         for (acc, spec) in self.accs.iter_mut().zip(specs) {
@@ -705,6 +716,25 @@ mod tests {
         assert_eq!(out.get("n"), Some(&Value::Int(2)));
         assert_eq!(out.get("total"), Some(&Value::Int(30)));
         assert_eq!(out.get("peak"), Some(&Value::Int(20)));
+    }
+
+    #[test]
+    fn add_value_matches_single_field_records() {
+        let specs = vec![
+            AggSpec::count("n"),
+            AggSpec::sum("amount", "total"),
+            AggSpec::min("amount", "lo"),
+        ];
+        let mut by_record = AccumulatorBank::new(&specs);
+        let mut by_value = AccumulatorBank::new(&specs);
+        for (t, amt) in [(1u64, 10i64), (2, 30), (3, 20)] {
+            by_record.add(&specs, &Record::from_pairs([("amount", amt)]), ts(t));
+            by_value.add_value(&specs, Value::Int(amt), ts(t));
+        }
+        let (mut a, mut b) = (Record::new(), Record::new());
+        by_record.write_outputs(&specs, &mut a);
+        by_value.write_outputs(&specs, &mut b);
+        assert_eq!(a, b);
     }
 
     #[test]

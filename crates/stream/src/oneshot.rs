@@ -1,12 +1,11 @@
 //! One-shot batch execution of window operators.
 //!
-//! The query planner lowers `GROUP BY tumbling(...)`-style statements
-//! into a physical plan whose aggregation stage is an ordinary stream
-//! window operator. This module is the adapter between the two worlds:
-//! it takes a *finite, timestamp-sorted* batch of events (facts pulled
-//! out of the temporal store), drives them through a freshly built
-//! dataflow graph containing one window operator, and hands back the
-//! fired window rows.
+//! Takes a *finite, timestamp-sorted* batch of events, drives them
+//! through a freshly built dataflow graph containing one window
+//! operator, and hands back the fired window rows. The query planner's
+//! windowed statements do not run through it (they aggregate per shard
+//! and merge partials, see `fenestra-query`'s `window` module); it is
+//! the reference their differential test compares against.
 //!
 //! Because the batch is sorted and finite, the executor runs with the
 //! strict watermark policy and a final `finish()` flushes every

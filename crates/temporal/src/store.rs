@@ -365,6 +365,46 @@ impl TemporalStore {
             .collect()
     }
 
+    /// Visit every stored fact of `attr` whose validity overlaps
+    /// `range` (`[from, to)`; `None` visits all history), entity by
+    /// entity in id order and each timeline in validity-start order.
+    /// Nothing is collected or cloned; the first error `visit` returns
+    /// stops the walk and is returned.
+    pub fn visit_attr_facts<E>(
+        &self,
+        attr: impl Into<AttrId>,
+        range: Option<(Timestamp, Timestamp)>,
+        mut visit: impl FnMut(EntityId, &StoredFact) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let attr = attr.into();
+        let Some(entities) = self.attr_entities.get(&attr) else {
+            return Ok(());
+        };
+        for &e in entities {
+            let Some(tl) = self.timelines.get(&(e, attr)) else {
+                continue;
+            };
+            let entries = tl.entries();
+            // A fact overlapping `[from, to)` starts before `to`.
+            let end = match range {
+                Some((_, to)) => entries.partition_point(|x| x.start < to),
+                None => entries.len(),
+            };
+            for entry in &entries[..end] {
+                let Some(f) = self.get(entry.id) else {
+                    continue;
+                };
+                if let Some((from, to)) = range {
+                    if !f.validity.overlaps_range(from, to) {
+                        continue;
+                    }
+                }
+                visit(e, f)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Every stored fact whose validity overlaps `[from, to)`.
     pub fn during(&self, from: Timestamp, to: Timestamp) -> Vec<&StoredFact> {
         let mut out = Vec::new();
@@ -963,6 +1003,46 @@ mod tests {
         assert!(vals.contains(&Value::Int(1)) && vals.contains(&Value::Int(2)));
         let all = s.during(ts(0), ts(100));
         assert_eq!(all.len(), 3);
+    }
+
+    #[test]
+    fn visit_attr_facts_bounds_by_range() {
+        let mut s = TemporalStore::new();
+        let a = s.new_entity();
+        let b = s.new_entity();
+        s.assert_at(a, "x", 1i64, ts(0)).unwrap();
+        s.retract_at(a, "x", 1i64, ts(10)).unwrap();
+        s.assert_at(a, "x", 2i64, ts(10)).unwrap();
+        s.assert_at(b, "x", 3i64, ts(30)).unwrap();
+        s.assert_at(b, "y", 4i64, ts(5)).unwrap();
+        let visit = |range| {
+            let mut seen = Vec::new();
+            s.visit_attr_facts::<()>("x", range, |e, f| {
+                seen.push((e, f.fact.value));
+                Ok(())
+            })
+            .unwrap();
+            seen
+        };
+        assert_eq!(
+            visit(None),
+            vec![(a, Value::Int(1)), (a, Value::Int(2)), (b, Value::Int(3))]
+        );
+        assert_eq!(
+            visit(Some((ts(5), ts(30)))),
+            vec![(a, Value::Int(1)), (a, Value::Int(2))]
+        );
+        assert_eq!(
+            visit(Some((ts(10), ts(31)))),
+            vec![(a, Value::Int(2)), (b, Value::Int(3))]
+        );
+        // The first error stops the walk.
+        let mut calls = 0;
+        let err = s.visit_attr_facts("x", None, |_, _| {
+            calls += 1;
+            Err("stop")
+        });
+        assert_eq!((err, calls), (Err("stop"), 1));
     }
 
     #[test]

@@ -261,6 +261,9 @@ fn sharded_fanout_matches_single_shard() {
         r#"{"cmd":"query","sql":"SELECT entity FROM state WHERE room = \"lobby\""}"#,
         r#"{"cmd":"query","sql":"SELECT entity, room FROM state"}"#,
         r#"{"cmd":"query","sql":"SELECT count(room) AS n FROM state GROUP BY tumbling(60000)"}"#,
+        r#"{"cmd":"query","sql":"SELECT window_start, room, count(*) AS n FROM state GROUP BY room, sliding(4, 2) DURING 0 TO 1010"}"#,
+        r#"{"cmd":"query","sql":"SELECT window_start, window_end, max(room) AS hi FROM state GROUP BY session(3)"}"#,
+        r#"{"cmd":"query","sql":"SELECT entity, min(room) AS lo FROM state GROUP BY entity, tumbling(1s) LIMIT 4"}"#,
     ] {
         let r1 = c1.call(q);
         let r4 = c4.call(q);
@@ -300,6 +303,21 @@ fn sharded_fanout_matches_single_shard() {
         "pushdown reaches the fan-out: {physical}"
     );
 
+    // A window statement aggregates per shard and merges the partials.
+    let v = c4.call(
+        r#"{"cmd":"query","sql":"EXPLAIN SELECT count(room) AS n FROM state GROUP BY tumbling(60000)"}"#,
+    );
+    let physical = v
+        .get("explain")
+        .and_then(|e| e.get("physical"))
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("{v}"));
+    assert!(
+        physical.starts_with("WindowMerge shards=4 window=tumbling(60000)")
+            && physical.contains("\n  PanePartial pane=60000 keys=[] aggs=[count(room) AS n]"),
+        "{physical}"
+    );
+
     // Cache traffic is visible on the Prometheus listener.
     let maddr = four.metrics_addr().expect("metrics listener bound");
     let mut m = TcpStream::connect(maddr).expect("connect metrics");
@@ -327,4 +345,79 @@ fn sharded_fanout_matches_single_shard() {
 
     one.shutdown();
     four.shutdown();
+}
+
+#[test]
+fn watches_of_one_statement_share_an_evaluation_not_their_deltas() {
+    let mut handle = populated_server(2);
+    let mut watcher = Client::connect(handle.local_addr());
+    let mut writer = Client::connect(handle.local_addr());
+    let lab = r#"select ?v where { ?v room \"lab\" }"#;
+    let lobby = r#"select ?v where { ?v room \"lobby\" }"#;
+    for (name, q) in [("w1", lab), ("w2", lab), ("w3", lobby)] {
+        watcher.send(&format!(r#"{{"cmd":"watch","name":"{name}","q":"{q}"}}"#));
+    }
+    // Three acks, then five initial rows per watch.
+    let (mut acks, mut initial) = (0, Vec::new());
+    while acks < 3 || initial.len() < 15 {
+        let v = watcher.recv();
+        match v.get("sign") {
+            Some(_) => initial.push(v),
+            None => acks += 1,
+        }
+    }
+    // Shards answer a registration in either order: compare sorted.
+    let rows_of = |name: &str, deltas: &[Json]| -> Vec<String> {
+        let mut rows: Vec<String> = deltas
+            .iter()
+            .filter(|d| d.get("watch").and_then(Json::as_str) == Some(name))
+            .map(|d| d.get("row").unwrap().to_string())
+            .collect();
+        rows.sort();
+        rows
+    };
+    assert_eq!(rows_of("w1", &initial).len(), 5);
+    assert_eq!(rows_of("w1", &initial), rows_of("w2", &initial));
+    // One move at a time, so every delta comes from one shard's poll
+    // pass: each watch in registration order, leavers before joiners.
+    let moves = [
+        (
+            5_000_000,
+            "b0",
+            "lab",
+            vec![("w1", 1, "b0"), ("w2", 1, "b0"), ("w3", -1, "b0")],
+        ),
+        (
+            5_000_001,
+            "a1",
+            "lobby",
+            vec![("w1", -1, "a1"), ("w2", -1, "a1"), ("w3", 1, "a1")],
+        ),
+    ];
+    for (ts, who, room, want) in moves {
+        let v = writer.call(&format!(
+            r#"{{"stream":"sensors","ts":{ts},"visitor":"{who}","room":"{room}"}}"#
+        ));
+        assert!(ok(&v), "{v}");
+        let got: Vec<(String, i64, String)> = (0..want.len())
+            .map(|_| {
+                let d = watcher.recv();
+                (
+                    d.get("watch").and_then(Json::as_str).unwrap().to_string(),
+                    d.get("sign").and_then(Json::as_i64).unwrap(),
+                    d.get("row")
+                        .and_then(|r| r.get("v"))
+                        .and_then(Json::as_str)
+                        .unwrap()
+                        .to_string(),
+                )
+            })
+            .collect();
+        let want: Vec<(String, i64, String)> = want
+            .into_iter()
+            .map(|(w, s, v)| (w.to_string(), s, v.to_string()))
+            .collect();
+        assert_eq!(got, want, "move of {who} to {room}");
+    }
+    handle.shutdown();
 }
