@@ -390,10 +390,6 @@ fn eval_binary(op: BinOp, a: Value, b: Value) -> Result<Value> {
 
 /// Equality across the numeric tower; other cross-type pairs are unequal.
 fn values_equal(a: &Value, b: &Value) -> bool {
-    // Interning keeps one symbol per string: compare symbols, not text.
-    if let (Value::Str(x), Value::Str(y)) = (a, b) {
-        return x == y;
-    }
     match a.partial_cmp_numeric(b) {
         Some(ord) => ord.is_eq(),
         None => false,

@@ -13,8 +13,9 @@
 //! * [`value`] — the dynamically typed [`value::Value`] carried by
 //!   stream records and state facts. Totally ordered and hashable
 //!   (floats use IEEE total ordering) so values can key indexes.
-//! * [`symbol`] — a global thread-safe string interner; attributes,
-//!   stream names, and string values are interned [`symbol::Symbol`]s.
+//! * [`symbol`] — a global thread-safe string interner with lock-free
+//!   resolution; attributes, stream names, and string values are
+//!   interned [`symbol::Symbol`]s, compared and hashed by symbol.
 //! * [`record`] — compact field/value records and stream events.
 //! * [`parse`] — shared lexer + expression parser for the DSLs.
 //! * [`expr`] — a small expression language (field refs, literals,

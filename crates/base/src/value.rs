@@ -140,7 +140,7 @@ impl Value {
             (Int(a), Float(b)) => Some((*a as f64).total_cmp(b)),
             (Float(a), Int(b)) => Some(a.total_cmp(&(*b as f64))),
             (Bool(a), Bool(b)) => Some(a.cmp(b)),
-            (Str(a), Str(b)) => Some(a.as_str().cmp(b.as_str())),
+            (Str(a), Str(b)) => Some(cmp_str(*a, *b)),
             (Id(a), Id(b)) => Some(a.cmp(b)),
             (Time(a), Time(b)) => Some(a.cmp(b)),
             (Null, Null) => Some(Ordering::Equal),
@@ -149,9 +149,24 @@ impl Value {
     }
 }
 
+/// Lexicographic order of two interned strings. Interning keeps one
+/// symbol per string, so equal symbols are equal text and need no
+/// resolution.
+fn cmp_str(a: Symbol, b: Symbol) -> Ordering {
+    if a == b {
+        Ordering::Equal
+    } else {
+        a.as_str().cmp(b.as_str())
+    }
+}
+
 impl PartialEq for Value {
+    /// Agrees with [`Ord`]; strings compare by symbol.
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        match (self, other) {
+            (Value::Str(a), Value::Str(b)) => a == b,
+            _ => self.cmp(other) == Ordering::Equal,
+        }
     }
 }
 
@@ -176,7 +191,7 @@ impl Ord for Value {
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            (Str(a), Str(b)) => a.as_str().cmp(b.as_str()),
+            (Str(a), Str(b)) => cmp_str(*a, *b),
             (Id(a), Id(b)) => a.cmp(b),
             (Time(a), Time(b)) => a.cmp(b),
             _ => self.type_rank().cmp(&other.type_rank()),
@@ -201,7 +216,9 @@ impl Hash for Value {
                 };
                 bits.hash(state);
             }
-            Value::Str(s) => s.as_str().hash(state),
+            // One symbol per string, so the index is as good as the text
+            // (never persisted or routed on: shard routing hashes text).
+            Value::Str(s) => s.index().hash(state),
             Value::Id(e) => e.hash(state),
             Value::Time(t) => t.hash(state),
         }
@@ -320,6 +337,8 @@ mod tests {
         let pairs = [
             (Value::Int(7), Value::Int(7)),
             (Value::str("x"), Value::str("x")),
+            (Value::str("zz-hash"), Value::str("zz-hash")),
+            (Value::str("aa-hash"), Value::str(&["aa", "-hash"].concat())),
             (Value::Bool(true), Value::Bool(true)),
             (Value::Float(1.5), Value::Float(1.5)),
             (
@@ -331,6 +350,48 @@ mod tests {
             assert_eq!(a, b);
             assert_eq!(hash_of(&a), hash_of(&b));
         }
+    }
+
+    #[test]
+    fn strings_order_by_text_not_interning_order() {
+        // Interned first, so its symbol index is the smaller one.
+        let zz = Value::str("zz-value-order");
+        let aa = Value::str("aa-value-order");
+        let (Value::Str(zz_sym), Value::Str(aa_sym)) = (zz, aa) else {
+            unreachable!()
+        };
+        assert!(zz_sym < aa_sym);
+        assert_eq!(aa.cmp(&zz), Ordering::Less);
+        assert_eq!(zz.cmp(&aa), Ordering::Greater);
+        assert_eq!(aa.partial_cmp_numeric(&zz), Some(Ordering::Less));
+        let mut sorted = [zz, Value::str("mm-value-order"), aa];
+        sorted.sort();
+        let texts: Vec<&str> = sorted.iter().map(|v| v.as_str().unwrap()).collect();
+        assert_eq!(
+            texts,
+            ["aa-value-order", "mm-value-order", "zz-value-order"]
+        );
+        // `==` holds exactly when the texts match.
+        let again = Value::str(&["zz-", "value-order"].concat());
+        assert_eq!(zz, again);
+        assert_eq!(zz.cmp(&again), Ordering::Equal);
+        assert_eq!(hash_of(&zz), hash_of(&again));
+        assert_ne!(zz, aa);
+        assert_ne!(Value::str("zz-value-order"), Value::str("zz-value-order "));
+        // A string never equals another type holding the "same" text.
+        assert_ne!(Value::str("1"), Value::Int(1));
+        assert_ne!(Value::str("null"), Value::Null);
+    }
+
+    #[test]
+    fn value_keys_group_strings_by_symbol() {
+        use std::collections::HashMap;
+        let mut groups: HashMap<(Value, Value), u32> = HashMap::new();
+        for (e, v) in [("ga", 1), ("gb", 2), ("ga", 3)] {
+            *groups.entry((Value::str(e), Value::Null)).or_default() += v;
+        }
+        assert_eq!(groups[&(Value::str("ga"), Value::Null)], 4);
+        assert_eq!(groups[&(Value::str("gb"), Value::Null)], 2);
     }
 
     #[test]

@@ -16,11 +16,10 @@
 //!    wherever `[first, last + gap)` overlaps. Rows are projected to
 //!    the statement's columns, sorted, deduplicated and limited.
 //!
-//! Groups are keyed by value identity: an interned string hashes and
-//! compares by its symbol, so the per-fact loop never resolves a
-//! string through the interner. Output order comes from the final row
-//! sort alone. One store is the one-partial case
-//! ([`WindowPhys::execute_local`]).
+//! Groups are keyed by [`Value`], whose strings hash and compare
+//! equal by symbol, so the per-fact loop resolves no string. Output
+//! order comes from the final row sort alone. One store is the
+//! one-partial case ([`WindowPhys::execute_local`]).
 
 use crate::exec::Bindings;
 use crate::plan::{entity_col, WindowPhys};
@@ -36,38 +35,10 @@ use fenestra_stream::window::{finish_row, EmitMode};
 use fenestra_temporal::TemporalStore;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
-
-/// A grouping value compared and hashed by identity. Interning keeps
-/// one symbol per string, so two values are `==` exactly when
-/// [`Value`]'s own equality says so — without the interner lookup
-/// `Value` pays per string comparison.
-#[derive(Debug, Clone, Copy)]
-struct Ident(Value);
-
-impl PartialEq for Ident {
-    fn eq(&self, other: &Ident) -> bool {
-        match (self.0, other.0) {
-            (Value::Str(a), Value::Str(b)) => a == b,
-            (a, b) => a == b,
-        }
-    }
-}
-
-impl Eq for Ident {}
-
-impl Hash for Ident {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        match self.0 {
-            Value::Str(s) => s.hash(state),
-            v => v.hash(state),
-        }
-    }
-}
 
 /// A group key: the `entity` slot and the attribute-value slot, each
 /// `Null` unless the statement groups by it.
-type Group = (Ident, Ident);
+type Group = (Value, Value);
 
 /// One group's run of facts whose consecutive gaps stay below the
 /// session gap, as seen by one shard.
@@ -128,7 +99,7 @@ impl<'a> Folder<'a> {
     /// Fold in one fact: `entity` and `value` are its two columns,
     /// `ts` its validity start.
     fn add(&mut self, entity: Value, value: Value, ts: Timestamp) -> Result<()> {
-        let pick = |on: bool, v: Value| Ident(if on { v } else { Value::Null });
+        let pick = |on: bool, v: Value| if on { v } else { Value::Null };
         let group = (pick(self.by_entity, entity), pick(self.by_value, value));
         match self.w.window {
             WindowKind::Tumbling { .. } | WindowKind::Sliding { .. } => {
@@ -371,7 +342,7 @@ impl WindowPhys {
         let entity = entity_col();
         let mut rec = Record::new();
         for k in &self.keys {
-            rec.set(*k, if *k == entity { group.0 .0 } else { group.1 .0 });
+            rec.set(*k, if *k == entity { group.0 } else { group.1 });
         }
         bank.write_outputs(specs, &mut rec);
         if let Some(n) = session_events {
@@ -482,14 +453,5 @@ mod tests {
         assert_eq!(got, vec![500]);
         // Hop longer than size: pane 10 falls between windows.
         assert_eq!(window_starts(10, 10, 10, 30).count(), 0);
-    }
-
-    #[test]
-    fn ident_keys_strings_by_symbol() {
-        let a = Ident(Value::str("ident-a"));
-        assert_eq!(a, Ident(Value::str("ident-a")));
-        assert_ne!(a, Ident(Value::str("ident-b")));
-        assert_ne!(Ident(Value::Int(1)), Ident(Value::Float(1.0)));
-        assert_eq!(Ident(Value::Null), Ident(Value::Null));
     }
 }
