@@ -62,6 +62,17 @@ const PUNCTS: &[&str] = &[
     "{", "}", "[", "]", ",", ":", ".", "$", "@", "?", ";",
 ];
 
+/// The character starting at byte `i` of `src` (a char boundary).
+/// ASCII takes the one-byte path; anything else decodes whole.
+fn char_at(src: &str, i: usize) -> char {
+    let b = src.as_bytes()[i];
+    if b.is_ascii() {
+        b as char
+    } else {
+        src[i..].chars().next().expect("i is a char boundary")
+    }
+}
+
 /// Tokenize `src`. Comments run from `#` to end of line.
 pub fn lex(src: &str) -> Result<Vec<Token>> {
     let mut out = Vec::new();
@@ -71,7 +82,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
     let mut col: u32 = 1;
     let n = bytes.len();
     while i < n {
-        let c = bytes[i] as char;
+        let c = char_at(src, i);
         if c == '\n' {
             line += 1;
             col = 1;
@@ -79,7 +90,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
             continue;
         }
         if c.is_whitespace() {
-            i += 1;
+            i += c.len_utf8();
             col += 1;
             continue;
         }
@@ -98,8 +109,8 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                 if i >= n {
                     return Err(Error::parse(tline, tcol, "unterminated string"));
                 }
-                let ch = bytes[i] as char;
-                i += 1;
+                let ch = char_at(src, i);
+                i += ch.len_utf8();
                 col += 1;
                 match ch {
                     '"' => break,
@@ -107,8 +118,8 @@ pub fn lex(src: &str) -> Result<Vec<Token>> {
                         if i >= n {
                             return Err(Error::parse(tline, tcol, "unterminated escape"));
                         }
-                        let esc = bytes[i] as char;
-                        i += 1;
+                        let esc = char_at(src, i);
+                        i += esc.len_utf8();
                         col += 1;
                         s.push(match esc {
                             'n' => '\n',
@@ -549,6 +560,18 @@ mod tests {
         assert_eq!(eval("2m"), Value::Int(120_000));
         assert_eq!(eval("1h"), Value::Int(3_600_000));
         assert_eq!(eval("10ms"), Value::Int(10));
+    }
+
+    #[test]
+    fn non_ascii_text_lexes_whole_characters() {
+        let toks = lex("\"café ☕\" x").unwrap();
+        assert_eq!(toks[0].tok, Tok::Str(Symbol::intern("café ☕")));
+        // Columns count characters, not bytes.
+        assert_eq!(toks[1].col, 10);
+        let err = lex("x é").unwrap_err().to_string();
+        assert!(err.contains("`é`"), "{err}");
+        let err = lex("\"\\é\"").unwrap_err().to_string();
+        assert!(err.contains("`\\é`"), "{err}");
     }
 
     #[test]

@@ -4,24 +4,15 @@
 //! * WAL journaling on/off (durability tax on the store hot path);
 //! * interaction semantics (`StateFirst` / `StreamFirst` / `Snapshot`);
 //! * lateness bound (reorder-buffer cost when input is in order);
-//! * single-threaded vs pipelined executor on a window pipeline;
 //! * auto-reasoning on/off under classification churn.
 
 use crate::table::{fmt_f, Table};
 use crate::time_it;
-use fenestra_base::expr::Expr;
 use fenestra_base::record::Event;
 use fenestra_base::time::{Duration, Timestamp};
 use fenestra_base::value::Value;
 use fenestra_core::{Engine, EngineConfig, Semantics};
 use fenestra_reason::{Axiom, Ontology};
-use fenestra_stream::aggregate::AggSpec;
-use fenestra_stream::executor::Executor;
-use fenestra_stream::graph::Graph;
-use fenestra_stream::ops::filter::Filter;
-use fenestra_stream::parallel::ParallelExecutor;
-use fenestra_stream::watermark::WatermarkPolicy;
-use fenestra_stream::window::time::TimeWindowOp;
 use fenestra_temporal::{AttrSchema, TemporalStore};
 use fenestra_workloads::{ClickstreamConfig, ClickstreamWorkload};
 
@@ -128,53 +119,6 @@ pub fn run() -> Table {
         ]);
     }
 
-    // --- Executor: single-threaded vs pipelined. -----------------------------
-    let events: Vec<Event> = (0..80_000u64)
-        .map(|i| Event::from_pairs("s", i, [("v", (i % 97) as i64)]))
-        .collect();
-    let make_graph = || {
-        let mut g = Graph::new();
-        let f = g.add_op(Filter::new(Expr::name("v").ge(Expr::lit(0i64))));
-        g.connect_source("s", f);
-        let win = g.add_op(
-            TimeWindowOp::tumbling(Duration::millis(1000)).aggregate(AggSpec::sum("v", "total")),
-        );
-        g.connect(f, win);
-        let sink = g.add_sink();
-        g.connect(win, sink.node);
-        (g, sink)
-    };
-    {
-        let (g, sink) = make_graph();
-        let mut ex = Executor::new(g);
-        let (_, secs) = time_it(|| {
-            ex.run(events.iter().cloned());
-            ex.finish();
-        });
-        let _ = sink.take();
-        t.row(vec![
-            "executor".into(),
-            "single-threaded".into(),
-            "events/s".into(),
-            fmt_f(events.len() as f64 / secs),
-        ]);
-    }
-    {
-        let (g, sink) = make_graph();
-        let mut ex = ParallelExecutor::new(g, WatermarkPolicy::strict()).unwrap();
-        let (_, secs) = time_it(|| {
-            ex.run(events.iter().cloned());
-            ex.finish();
-        });
-        let _ = sink.take();
-        t.row(vec![
-            "executor".into(),
-            "pipelined".into(),
-            "events/s".into(),
-            fmt_f(events.len() as f64 / secs),
-        ]);
-    }
-
     // --- Auto-reasoning under churn. -----------------------------------------
     let churn: Vec<Event> = (0..2_000u64)
         .map(|i| {
@@ -237,7 +181,7 @@ mod tests {
     #[test]
     fn e11_runs() {
         let t = super::run();
-        assert_eq!(t.rows.len(), 12);
+        assert_eq!(t.rows.len(), 10);
         // WAL-off must not be slower than WAL-on (modulo noise: allow
         // 20% slack).
         let on: f64 = t.rows[0][3].parse().unwrap();

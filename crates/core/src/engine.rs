@@ -4,7 +4,7 @@ use crate::config::{EngineConfig, Semantics};
 use fenestra_base::error::{Error, Result};
 use fenestra_base::record::Event;
 use fenestra_base::symbol::Symbol;
-use fenestra_base::time::{Duration, Interval, Timestamp};
+use fenestra_base::time::{Duration, Timestamp};
 use fenestra_base::value::Value;
 use fenestra_obs::{EngineMetrics, ShardObs};
 use fenestra_query::QueryOptions;
@@ -15,42 +15,13 @@ use fenestra_stream::executor::Executor;
 use fenestra_stream::graph::Graph;
 use fenestra_stream::ops::state::SharedStore;
 use fenestra_stream::watermark::{WatermarkGenerator, WatermarkPolicy};
-use fenestra_temporal::{AttrSchema, Provenance, TemporalStore};
+use fenestra_temporal::{AttrSchema, TemporalStore};
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
-/// Result of [`Engine::query`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum QueryResult {
-    /// Rows of variable bindings.
-    Rows(Vec<fenestra_query::Bindings>),
-    /// Timeline of one `(entity, attribute)`.
-    History(Vec<(Interval, Value, Provenance)>),
-}
-
-impl QueryResult {
-    /// The rows, if this is a select result.
-    pub fn rows(&self) -> Option<&[fenestra_query::Bindings]> {
-        match self {
-            QueryResult::Rows(r) => Some(r),
-            QueryResult::History(_) => None,
-        }
-    }
-
-    /// Number of rows / timeline entries.
-    pub fn len(&self) -> usize {
-        match self {
-            QueryResult::Rows(r) => r.len(),
-            QueryResult::History(h) => h.len(),
-        }
-    }
-
-    /// Whether the result is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+/// Result of [`Engine::query`]: the planner's output type.
+pub use fenestra_query::PlanOutput as QueryResult;
 
 /// The Fenestra engine: state management + stream processing + state
 /// repository + queries + reasoning, wired per Figure 1 of the paper.
@@ -610,11 +581,7 @@ impl Engine {
         plan: &fenestra_query::CachedPlan,
         opts: QueryOptions,
     ) -> Result<QueryResult> {
-        let store = self.store();
-        match plan.execute(&store, opts)? {
-            fenestra_query::PlanOutput::Rows(rows) => Ok(QueryResult::Rows(rows)),
-            fenestra_query::PlanOutput::History(spans) => Ok(QueryResult::History(spans)),
-        }
+        plan.execute(&self.store(), opts)
     }
 
     // ----- introspection ----------------------------------------------------
@@ -650,7 +617,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fenestra_base::time::Duration;
+    use fenestra_base::time::{Duration, Interval};
     use fenestra_stream::aggregate::AggSpec;
     use fenestra_stream::ops::state::{StateGate, TimeRef};
     use fenestra_stream::window::time::TimeWindowOp;

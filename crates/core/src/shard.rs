@@ -12,8 +12,12 @@
 //! [`EntityRef::Named`] targets, computed entity expressions, or two
 //! rules keying the same stream by different fields — are **rejected**
 //! at registration time with a diagnostic when `shards > 1`. Run with
-//! one shard to use them; with `shards == 1` the facade is a passthrough
-//! and behaves exactly like a bare [`Engine`].
+//! one shard to use them.
+//!
+//! Queries answer through one scatter-gather path for every shard
+//! count, one included (see [`fenestra_query::split`]): rows carry
+//! entity names, never shard-local ids, and the answer does not depend
+//! on the count.
 
 use crate::config::EngineConfig;
 use crate::engine::{Engine, QueryResult};
@@ -24,7 +28,8 @@ use fenestra_base::record::{Event, StreamId};
 use fenestra_base::symbol::Symbol;
 use fenestra_base::time::Timestamp;
 use fenestra_base::value::Value;
-use fenestra_query::{PhysicalPlan, Query, QueryOptions};
+use fenestra_query::QueryOptions;
+pub use fenestra_query::{merge_history, merge_rows, partial_select};
 use fenestra_rules::rule::{Action, EntityRef, Guard, Trigger};
 use fenestra_rules::StateRule;
 use fenestra_temporal::AttrSchema;
@@ -226,9 +231,9 @@ impl ShardRouter {
 ///
 /// Setup calls (`declare_attr`, `add_rule`, `watch`, …) fan out to
 /// every shard; events route to exactly one shard by entity key;
-/// queries fan out and merge. With `shards == 1` every call is a plain
-/// delegation, so behavior — including query byte-for-byte output and
-/// on-disk state — is identical to an unsharded [`Engine`].
+/// queries fan out and merge the same way for every shard count. With
+/// `shards == 1` the on-disk state is identical to an unsharded
+/// [`Engine`]'s.
 pub struct ShardedEngine {
     router: ShardRouter,
     shards: Vec<Engine>,
@@ -444,53 +449,21 @@ impl ShardedEngine {
         self.execute_plan(&plan, opts)
     }
 
-    /// Execute a compiled plan across the shards.
-    ///
-    /// With one shard this is a plain delegation (byte-identical
-    /// results). With N, select plans run on every shard with
-    /// `limit`/`count` stripped, entity ids are resolved to names
-    /// (ids are shard-local and would collide), and the merged rows
-    /// are re-sorted, deduplicated, and re-limited/counted; history
-    /// plans merge every shard's spans for the entity name by
-    /// `(validity start, shard, seq)` (see [`merge_history`]); window
-    /// plans fold each shard's facts into partial aggregates and merge
-    /// those.
+    /// Execute a compiled plan across the shards: every shard's
+    /// [`fenestra_query::PhysicalPlan::partial`], then one
+    /// [`fenestra_query::PhysicalPlan::merge`], for any shard count, so
+    /// the answer does not depend on the count.
     pub fn execute_plan(
         &self,
         plan: &fenestra_query::CachedPlan,
         opts: QueryOptions,
     ) -> Result<QueryResult> {
-        if self.shards.len() == 1 {
-            return self.shards[0].execute_plan(plan, opts);
-        }
-        match &plan.physical {
-            PhysicalPlan::Select { query } => Ok(QueryResult::Rows(merge_select(
-                query,
-                opts,
-                self.shards.iter().map(|s| s.store()),
-            )?)),
-            PhysicalPlan::History { entity, attr } => {
-                let mut parts = Vec::new();
-                for s in &self.shards {
-                    let store = s.store();
-                    if let Some(e) = store.lookup_entity(*entity) {
-                        parts.push(store.history(e, *attr));
-                    }
-                }
-                if parts.is_empty() {
-                    return Err(Error::Invalid(format!("unknown entity `{entity}`")));
-                }
-                Ok(QueryResult::History(merge_history(parts)))
-            }
-            PhysicalPlan::WindowAgg(w) => {
-                let parts = self
-                    .shards
-                    .iter()
-                    .map(|s| w.partials(&s.store()))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(QueryResult::Rows(w.merge(parts)?))
-            }
-        }
+        let parts = self
+            .shards
+            .iter()
+            .map(|s| plan.physical.partial(&s.store(), opts))
+            .collect::<Result<Vec<_>>>()?;
+        plan.physical.merge(parts)
     }
 
     // ----- introspection ----------------------------------------------------
@@ -513,89 +486,6 @@ impl ShardedEngine {
     pub fn rule_count(&self) -> usize {
         self.shards[0].rule_count()
     }
-}
-
-/// One shard's contribution to a fanned-out select: run the query with
-/// `limit`/`count` stripped (a shard's top-k is not the global top-k)
-/// and shard-local entity ids resolved to their names (ids collide
-/// across shards; names don't). The caller merges with [`merge_rows`].
-pub fn partial_select(
-    store: &fenestra_temporal::TemporalStore,
-    q: &Query,
-    opts: QueryOptions,
-) -> Result<Vec<fenestra_query::Bindings>> {
-    let mut inner = q.clone();
-    inner.count_only = false;
-    inner.limit = None;
-    let mut rows = fenestra_query::exec::execute_with(store, &inner, opts)?;
-    for row in &mut rows {
-        for (_, v) in row.iter_mut() {
-            if let Value::Id(e) = v {
-                if let Some(name) = store.entity_name(*e) {
-                    *v = Value::Str(name);
-                }
-            }
-        }
-    }
-    Ok(rows)
-}
-
-/// Merge [`partial_select`] results: sort + dedup globally, then
-/// re-apply the original query's `limit` and `count` — the same tail
-/// `execute_with` applies per store.
-pub fn merge_rows(
-    q: &Query,
-    parts: impl IntoIterator<Item = Vec<fenestra_query::Bindings>>,
-) -> Vec<fenestra_query::Bindings> {
-    let mut rows: Vec<fenestra_query::Bindings> = parts.into_iter().flatten().collect();
-    rows.sort();
-    rows.dedup();
-    if let Some(n) = q.limit {
-        rows.truncate(n);
-    }
-    if q.count_only {
-        return vec![vec![(
-            Symbol::intern("count"),
-            Value::Int(rows.len() as i64),
-        )]];
-    }
-    rows
-}
-
-/// Merge per-shard history timelines for one `(entity, attribute)`
-/// into a single timeline ordered by validity start, with a
-/// deterministic tiebreak: spans starting at the same instant keep
-/// `(shard id, per-shard seq)` order. The sort is stable and `parts`
-/// arrives in shard order with each shard's spans already in validity
-/// order, so stability *is* the tiebreak.
-pub fn merge_history(
-    parts: Vec<
-        Vec<(
-            fenestra_base::time::Interval,
-            Value,
-            fenestra_temporal::Provenance,
-        )>,
-    >,
-) -> Vec<(
-    fenestra_base::time::Interval,
-    Value,
-    fenestra_temporal::Provenance,
-)> {
-    let mut all: Vec<_> = parts.into_iter().flatten().collect();
-    all.sort_by_key(|(interval, _, _)| interval.start);
-    all
-}
-
-/// Run a select on every shard's store and merge.
-pub fn merge_select(
-    q: &Query,
-    opts: QueryOptions,
-    stores: impl Iterator<Item = impl std::ops::Deref<Target = fenestra_temporal::TemporalStore>>,
-) -> Result<Vec<fenestra_query::Bindings>> {
-    let parts = stores
-        .map(|store| partial_select(&store, q, opts))
-        .collect::<Result<Vec<_>>>()?;
-    Ok(merge_rows(q, parts))
 }
 
 #[cfg(test)]
@@ -632,87 +522,74 @@ mod tests {
         assert!(hit.iter().all(|h| *h), "64 keys should cover 4 shards");
     }
 
-    /// Resolve shard-local entity ids to names, the same normalization
-    /// the sharded merge (and the wire layer) applies before rows
-    /// leave the engine.
-    fn resolved(e: &ShardedEngine, r: QueryResult) -> QueryResult {
-        let QueryResult::Rows(mut rows) = r else {
-            return r;
-        };
-        for row in &mut rows {
-            for (_, v) in row.iter_mut() {
-                if let Value::Id(id) = v {
-                    if let Some(name) = e.shard(0).store().entity_name(*id) {
-                        *v = Value::Str(name);
-                    }
-                }
-            }
-        }
-        rows.sort();
-        QueryResult::Rows(rows)
-    }
-
+    /// Every shard count answers through the same partial + merge:
+    /// rows carry entity names (never shard-local ids), `limit` keeps
+    /// the first rows in name order, and entity-valued history spans
+    /// resolve to names.
     #[test]
-    fn sharded_queries_match_a_single_engine() {
-        let mut one = sharded(1);
-        let mut four = sharded(4);
-        for i in 0..40u64 {
-            let e = ev(i, &format!("v{}", i % 10), &format!("r{}", i % 3));
-            one.push(e.clone());
-            four.push(e);
-        }
-        one.finish();
-        four.finish();
+    fn answers_do_not_depend_on_the_shard_count() {
+        let ont = fenestra_reason::parse_ontology("property me inverse self_of").unwrap();
+        let engines: Vec<ShardedEngine> = [1, 2, 4]
+            .into_iter()
+            .map(|n| {
+                let mut e = ShardedEngine::new(
+                    EngineConfig {
+                        auto_reason: true,
+                        ..EngineConfig::default()
+                    },
+                    n,
+                );
+                e.add_rules_text(RULES).unwrap();
+                e.add_rules_text("rule me:\n  on moves\n  replace $(visitor).me = visitor\n")
+                    .unwrap();
+                for i in 0..n {
+                    e.shard_mut(i).set_ontology(ont.clone());
+                }
+                // Created out of name order, so id order is not name order.
+                for (i, v) in ["zed", "mia", "amy", "bob"].into_iter().enumerate() {
+                    e.push(ev(i as u64, v, "lab"));
+                }
+                for i in 4..40u64 {
+                    e.push(ev(i, &format!("v{}", i % 10), &format!("r{}", i % 3)));
+                }
+                e.finish();
+                e
+            })
+            .collect();
         for q in [
             "select ?v ?r where { ?v room ?r }",
             "select ?v where { ?v room \"r1\" }",
             "select count ?v where { ?v room ?r }",
+            "select ?v ?r where { ?v room ?r } limit 3",
+            "SELECT entity, room FROM state LIMIT 5",
+            "select ?v ?o where { ?v self_of ?o }",
+            "history v3 room",
+            "history amy self_of",
         ] {
-            assert_eq!(
-                resolved(&one, one.query(q).unwrap()),
-                four.query(q).unwrap(),
-                "query `{q}` diverged"
-            );
+            let want = engines[0].query(q).unwrap();
+            for e in &engines[1..] {
+                assert_eq!(
+                    e.query(q).unwrap(),
+                    want,
+                    "{} shards: `{q}`",
+                    e.shard_count()
+                );
+            }
         }
-        // A limited query has the same rows once both sides are
-        // resolved and re-sorted (the limit picks the same top-k only
-        // in resolved order, which is what the sharded side returns).
-        let lim = "select ?v ?r where { ?v room ?r } limit 3";
-        assert_eq!(four.query(lim).unwrap().len(), 3);
-        let h1 = one.query("history v3 room").unwrap();
-        let h4 = four.query("history v3 room").unwrap();
-        assert_eq!(h1, h4);
-        assert_eq!(one.metrics().events, four.metrics().events);
-        assert_eq!(one.metrics().transitions, four.metrics().transitions);
-    }
-
-    #[test]
-    fn merge_history_orders_by_start_with_shard_seq_tiebreak() {
-        use fenestra_base::time::Interval;
-        use fenestra_temporal::Provenance;
-        let span = |start: u64, end: Option<u64>, v: &str| {
-            (
-                Interval {
-                    start: Timestamp::new(start),
-                    end: end.map(Timestamp::new),
-                },
-                Value::str(v),
-                Provenance::External,
-            )
+        let lab = engines[0]
+            .query("select ?v where { ?v room \"lab\" } limit 2")
+            .unwrap();
+        let v = Symbol::intern("v");
+        assert_eq!(
+            lab.rows().unwrap(),
+            [[(v, Value::str("amy"))], [(v, Value::str("bob"))]]
+        );
+        let QueryResult::History(spans) = engines[0].query("history amy self_of").unwrap() else {
+            panic!("history expected");
         };
-        // Shard 0 and shard 1 both hold spans; starts interleave and
-        // collide at t=20.
-        let shard0 = vec![span(10, Some(20), "a"), span(20, Some(40), "b")];
-        let shard1 = vec![span(5, Some(20), "x"), span(20, None, "y")];
-        let merged = merge_history(vec![shard0, shard1]);
-        let starts: Vec<u64> = merged.iter().map(|(iv, _, _)| iv.start.millis()).collect();
-        assert_eq!(starts, vec![5, 10, 20, 20], "global validity order");
-        // Equal starts keep (shard, seq) order: shard 0's span first.
-        assert_eq!(merged[2].1, Value::str("b"));
-        assert_eq!(merged[3].1, Value::str("y"));
-        // Merging a single shard's timeline is the identity.
-        let solo = vec![span(1, Some(2), "p"), span(2, None, "q")];
-        assert_eq!(merge_history(vec![solo.clone()]), solo);
+        assert_eq!(spans[0].1, Value::str("amy"), "{spans:?}");
+        let (m1, m4) = (engines[0].metrics(), engines[2].metrics());
+        assert_eq!((m1.events, m1.transitions), (m4.events, m4.transitions));
     }
 
     #[test]

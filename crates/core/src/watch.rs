@@ -16,7 +16,7 @@
 use fenestra_base::record::Record;
 use fenestra_base::symbol::Symbol;
 use fenestra_base::value::Value;
-use fenestra_query::{Bindings, CachedPlan, PlanOutput, Query, QueryOptions};
+use fenestra_query::{Bindings, CachedPlan, PlanOutput, QueryOptions};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -51,12 +51,6 @@ pub struct WatchDelta {
 }
 
 impl Watch {
-    /// Create a watch over a programmatic `query` (compiles it into a
-    /// private plan).
-    pub fn new(name: impl Into<Symbol>, query: Query) -> Watch {
-        Watch::from_plan(name, Arc::new(CachedPlan::from_query(query)))
-    }
-
     /// Create a watch sharing an already-compiled plan. The plan must
     /// be watchable ([`CachedPlan::is_watchable`]); history plans have
     /// no row view to diff.
@@ -210,11 +204,15 @@ pub fn delta_record(d: &WatchDelta) -> Record {
 mod tests {
     use super::*;
     use fenestra_base::time::Timestamp;
-    use fenestra_query::Term;
+    use fenestra_query::{Query, Term};
     use fenestra_temporal::{AttrSchema, TemporalStore};
 
     fn active_query() -> Query {
         Query::new().pattern(Term::var("u"), "status", Term::val("active"))
+    }
+
+    fn active_watch() -> Watch {
+        Watch::from_plan("actives", Arc::new(CachedPlan::from_query(active_query())))
     }
 
     #[test]
@@ -224,7 +222,7 @@ mod tests {
         let a = s.named_entity("a");
         s.replace_at(a, "status", "active", Timestamp::new(1))
             .unwrap();
-        let mut w = Watch::new("actives", active_query());
+        let mut w = active_watch();
         let deltas = w.poll(&s);
         assert_eq!(deltas.len(), 1);
         assert_eq!(deltas[0].sign, 1);
@@ -236,7 +234,7 @@ mod tests {
         let a = s.named_entity("a");
         s.assert_at(a, "status", "active", Timestamp::new(1))
             .unwrap();
-        let mut w = Watch::new("actives", active_query());
+        let mut w = active_watch();
         assert_eq!(w.poll(&s).len(), 1);
         assert!(w.poll(&s).is_empty(), "no revision change, no work");
     }
@@ -247,7 +245,7 @@ mod tests {
         s.declare_attr("status", AttrSchema::one());
         let a = s.named_entity("a");
         let b = s.named_entity("b");
-        let mut w = Watch::new("actives", active_query());
+        let mut w = active_watch();
         s.replace_at(a, "status", "active", Timestamp::new(1))
             .unwrap();
         assert_eq!(w.poll(&s).len(), 1);

@@ -32,6 +32,7 @@ pub mod cache;
 pub mod exec;
 pub mod parser;
 pub mod plan;
+pub mod split;
 pub mod sql;
 pub mod window;
 
@@ -43,5 +44,6 @@ pub use plan::{
     compile, parse_statement, physical_kind, render_explain, strip_explain, CachedPlan,
     LogicalPlan, PhysicalPlan, PlanOutput, Statement, WindowPhys,
 };
+pub use split::{merge_history, merge_rows, partial_select, PlanPart};
 pub use sql::{parse_select_stmt, SelectStmt, WindowKind};
 pub use window::WindowPartials;

@@ -23,11 +23,10 @@
 //!   `tumbling(s)`, and window durations normalize to milliseconds.
 //!
 //! Physical select plans fold back into a single [`Query`] executed by
-//! the unchanged [`crate::exec`] machinery, which is what guarantees
-//! legacy statements produce byte-identical replies through the
-//! planner. Windowed statements lower to a [`WindowPhys`], which each
-//! shard folds into partial aggregates and the coordinator merges
-//! (see [`crate::window`]).
+//! the [`crate::exec`] machinery; windowed statements lower to a
+//! [`WindowPhys`] (see [`crate::window`]). Partitioned state runs every
+//! physical plan as one shard part per store plus one merge (see
+//! [`crate::split`]), whatever the shard count.
 
 use crate::ast::{Query, Term, TimeSpec, TriplePattern};
 use crate::exec::{Bindings, QueryOptions};
@@ -176,12 +175,35 @@ pub struct WindowPhys {
 }
 
 /// The result of executing a plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlanOutput {
     /// Row output (selects and window aggregations).
     Rows(Vec<Bindings>),
     /// History spans of one `(entity, attribute)`.
     History(Vec<(Interval, Value, Provenance)>),
+}
+
+impl PlanOutput {
+    /// The rows, if this is a row result.
+    pub fn rows(&self) -> Option<&[Bindings]> {
+        match self {
+            PlanOutput::Rows(r) => Some(r),
+            PlanOutput::History(_) => None,
+        }
+    }
+
+    /// Number of rows / timeline entries.
+    pub fn len(&self) -> usize {
+        match self {
+            PlanOutput::Rows(r) => r.len(),
+            PlanOutput::History(h) => h.len(),
+        }
+    }
+
+    /// Whether the result is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// A compiled statement, as stored in the plan cache and shared by
@@ -215,10 +237,9 @@ pub enum Statement {
 /// it and return `(true, rest)`; the rest is the plan-cache key.
 pub fn strip_explain(src: &str) -> (bool, &str) {
     let s = src.trim_start();
-    if s.len() > 7
-        && s[..7].eq_ignore_ascii_case("explain")
-        && s.as_bytes()[7].is_ascii_whitespace()
-    {
+    // Compare bytes: byte 7 may fall inside a multi-byte character.
+    let b = s.as_bytes();
+    if b.len() > 7 && b[..7].eq_ignore_ascii_case(b"explain") && b[7].is_ascii_whitespace() {
         (true, s[7..].trim_start())
     } else {
         (false, s)
@@ -1354,6 +1375,22 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_literals_match_in_both_dialects() {
+        let mut s = store();
+        let v3 = s.named_entity("v3");
+        s.replace_at(v3, "room", "café", Timestamp::new(30))
+            .unwrap();
+        for src in [
+            "select ?v where { ?v room \"café\" }",
+            "SELECT entity FROM state WHERE room = \"café\"",
+        ] {
+            let got = rows(&compile(src).unwrap(), &s);
+            assert_eq!(got.len(), 1, "{src}");
+            assert_eq!(got[0][0].1, Value::Id(v3), "{src}");
+        }
+    }
+
+    #[test]
     fn sql_entity_pin_becomes_pattern_constant() {
         let s = store();
         let plan = compile("SELECT room FROM state WHERE entity = \"v1\"").unwrap();
@@ -1537,6 +1574,8 @@ mod tests {
         );
         assert!(!strip_explain("select ?v where { ?v a ?b }").0);
         assert!(!strip_explain("explainx").0);
+        // Byte 7 falls inside a two-byte character.
+        assert_eq!(strip_explain("ééééé"), (false, "ééééé"));
     }
 
     #[test]

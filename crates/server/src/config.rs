@@ -65,9 +65,9 @@ pub struct ServerConfig {
     /// deterministic hash of their entity key (the field the stream's
     /// rules name entities by); each shard runs on its own thread with
     /// its own state partition and — with [`ServerConfig::wal_path`] —
-    /// its own WAL segments and snapshot file. `1` (the default) is
-    /// byte-identical to the unsharded server, including the on-disk
-    /// layout; restarting with a different count than the on-disk
+    /// its own WAL segments and snapshot file. Query replies do not
+    /// depend on the count. `1` (the default) keeps the unsharded
+    /// server's on-disk layout; restarting with a different count than the on-disk
     /// state was written with is rejected at startup.
     pub shards: u32,
     /// If set, closed history older than this horizon behind each

@@ -43,7 +43,9 @@
 //! Query replies travel back over per-request channels, and watch
 //! deltas over the connection's outbound channel. Queries and watches
 //! fan out to every shard (selects merge rows, `count` and `limit`
-//! apply globally after the merge). `stats` is served **lock-light**
+//! apply globally after the merge). Every shard count, one included,
+//! answers a query through the same per-shard part and merge, so
+//! replies do not depend on `--shards`. `stats` is served **lock-light**
 //! on the connection thread from per-shard atomics
 //! ([`fenestra_obs::ShardObs`]) that the shard loops, engines, and WAL
 //! writers publish into — engine counters merged across shards,
@@ -56,9 +58,8 @@
 //! the producing connection, or shed the frame — whole, never in part
 //! — and report it (see [`config::Backpressure`]).
 //!
-//! With one shard (the default) the server is byte-identical to the
-//! pre-sharding releases, including the on-disk WAL/snapshot layout;
-//! with N, each shard keeps its own WAL segments
+//! With one shard (the default) the on-disk WAL/snapshot layout is
+//! the pre-sharding releases'; with N, each shard keeps its own WAL segments
 //! (`<wal>-<shard>-<gen>.seg`) and snapshot (`<snap>.shard<i>`), boot
 //! recovery replays all shards in parallel, and a restart whose
 //! `--shards` contradicts the on-disk layout is rejected before

@@ -15,7 +15,8 @@
 //! through `src/admit.rs`; under [`Backpressure::Block`] a full shard
 //! queue holds back the *sending* connection only.
 //!
-//! Queries fan out across shards and merge. `stats` is served
+//! Queries fan out across shards and merge, for every shard count
+//! alike, so replies do not depend on `--shards`. `stats` is served
 //! **lock-light** on the connection thread: shard loops and WAL
 //! writers publish counters, gauges, and stage-latency histograms
 //! into per-shard atomics ([`fenestra_obs::ShardObs`]) that the stats
@@ -23,8 +24,8 @@
 //! (`--metrics-addr`) — merely load and merge. Metrics reads never
 //! enqueue through the ingest path; the explicit `{"cmd":"sync"}`
 //! command is the processing barrier `stats` used to double as. With
-//! one shard, query byte layout and the on-disk WAL/snapshot format
-//! are identical to the pre-sharding server.
+//! one shard, the on-disk WAL/snapshot format is identical to the
+//! pre-sharding server.
 
 use crate::admit::{AckPart, AckSink, AckTable, Flush, FrameId, Replies, Stage};
 use crate::config::{Backpressure, ServerConfig};
@@ -33,18 +34,10 @@ use crate::proto::{self, Request};
 use crossbeam::channel::{self, Receiver, Sender};
 use fenestra_base::error::{Error, Result};
 use fenestra_base::record::Event;
-use fenestra_base::symbol::Symbol;
-use fenestra_base::time::{Duration, Interval, Timestamp};
-use fenestra_base::value::Value;
-use fenestra_core::shard::{merge_rows, partial_select};
-use fenestra_core::{
-    Engine, EngineConfig, EngineMetrics, PollPass, QueryResult, ShardRouter, Watch,
-};
+use fenestra_base::time::{Duration, Timestamp};
+use fenestra_core::{Engine, EngineConfig, EngineMetrics, PollPass, ShardRouter, Watch};
 use fenestra_obs::{PipelineObs, ShardObs};
-use fenestra_query::{
-    Bindings, CacheStats, CachedPlan, PhysicalPlan, PlanCache, Query, QueryOptions, WindowPartials,
-    WindowPhys,
-};
+use fenestra_query::{CacheStats, CachedPlan, PlanCache, PlanPart, QueryOptions};
 use fenestra_replica::{
     load_epoch, now_us, serve_follower, store_epoch, AckTracker, FollowerClient, LeaderConfig,
     ReplPaths, DEAD_SESSION_HEARTBEATS, HEARTBEAT_MS,
@@ -52,7 +45,7 @@ use fenestra_replica::{
 use fenestra_temporal::wal_file::{
     list_segment_gens, recover_shards, segment_path, shard_segment_path, shard_snapshot_path,
 };
-use fenestra_temporal::{FsyncPolicy, Provenance, TemporalStore, WalWriter, WalWriterStats};
+use fenestra_temporal::{FsyncPolicy, TemporalStore, WalWriter, WalWriterStats};
 use fenestra_wire::repl::{redirect_line, ReplFrame, ShardPosition};
 use serde_json::{Map, Value as Json};
 use std::collections::VecDeque;
@@ -232,9 +225,6 @@ fn gate_pass(ctx: &SyncGateCtx, queues: &mut [VecDeque<SyncWait>]) {
 
 // ----- shard commands -------------------------------------------------------
 
-/// One shard's history span list, ids already resolved.
-type HistorySpans = Vec<(Interval, Value, Provenance)>;
-
 /// Commands consumed by a shard thread.
 pub(crate) enum ShardCmd {
     /// This shard's part of one or more ingest frames, built only by
@@ -248,35 +238,12 @@ pub(crate) enum ShardCmd {
         acks: Vec<AckPart>,
         enqueued: Instant,
     },
-    /// Single-shard deployments: execute the compiled plan through the
-    /// full legacy path, returning the exact reply line
-    /// (byte-identical to the unsharded server). The plan arrives
-    /// pre-compiled from the connection thread's shared [`PlanCache`].
-    QueryPlan {
+    /// This shard's part of a compiled plan's answer
+    /// ([`fenestra_query::PhysicalPlan::partial`]). The connection
+    /// thread merges every shard's part, whatever the shard count.
+    Query {
         plan: Arc<CachedPlan>,
-        reply: Sender<String>,
-    },
-    /// Fan-out select: run with `limit`/`count` stripped and entity
-    /// ids resolved; the connection thread merges across shards.
-    QueryRows {
-        q: Arc<Query>,
-        reply: Sender<std::result::Result<Vec<Bindings>, String>>,
-    },
-    /// Fan-out history: every shard that knows the entity replies
-    /// `Some`; the connection thread merges the timelines by span
-    /// start (ties broken by shard id, then in-shard order).
-    QueryHistory {
-        entity: Symbol,
-        attr: Symbol,
-        reply: Sender<Option<HistorySpans>>,
-    },
-    /// Fan-out windowed aggregation: this shard's facts for a
-    /// [`WindowPhys`], folded into partial aggregates (per-pane banks
-    /// or partial sessions); the connection thread merges the
-    /// partials and fires the windows.
-    QueryPartials {
-        w: Arc<WindowPhys>,
-        reply: Sender<std::result::Result<WindowPartials, String>>,
+        reply: Sender<Result<PlanPart>>,
     },
     /// Register a standing query on this shard; deltas for this
     /// shard's partition of the rows go to `sink`. Watches of the
@@ -1224,7 +1191,7 @@ fn shard_loop(ctx: ShardCtx) {
         };
         let mut quit = false;
         // Whether this command may have changed queryable state. Pure
-        // reads (`Query*`, `Stats*`) and checkpoints leave it false, so
+        // reads (`Query`) and checkpoints leave it false, so
         // standing watches are not re-polled on their account.
         let mut poll = false;
         match cmd {
@@ -1333,45 +1300,11 @@ fn shard_loop(ctx: ShardCtx) {
                 }
                 poll = n > late;
             }
-            ShardCmd::QueryPlan { plan, reply } => {
-                let line = match engine.execute_plan(&plan, QueryOptions::default()) {
-                    Ok(res) => proto::query_reply(&res, Some(&engine.store())),
-                    Err(e) => proto::error(&e.to_string()),
-                };
-                let _ = reply.send(line);
-            }
-            ShardCmd::QueryRows { q, reply } => {
-                let res = partial_select(&engine.store(), &q, QueryOptions::default())
-                    .map_err(|e| e.to_string());
-                let _ = reply.send(res);
-            }
-            ShardCmd::QueryPartials { w, reply } => {
-                let res = w.partials(&engine.store()).map_err(|e| e.to_string());
-                let _ = reply.send(res);
-            }
-            ShardCmd::QueryHistory {
-                entity,
-                attr,
-                reply,
-            } => {
-                let store = engine.store();
-                let spans = store.lookup_entity(entity).map(|e| {
-                    store
-                        .history(e, attr)
-                        .into_iter()
-                        .map(|(iv, v, prov)| {
-                            let v = match v {
-                                Value::Id(id) => store
-                                    .entity_name(id)
-                                    .map(Value::Str)
-                                    .unwrap_or(Value::Id(id)),
-                                other => other,
-                            };
-                            (iv, v, prov)
-                        })
-                        .collect::<Vec<_>>()
-                });
-                let _ = reply.send(spans);
+            ShardCmd::Query { plan, reply } => {
+                let _ = reply.send(
+                    plan.physical
+                        .partial(&engine.store(), QueryOptions::default()),
+                );
             }
             ShardCmd::Watch { name, plan, sink } => {
                 watches.push((Watch::from_plan(name.as_str(), plan), sink));
@@ -2509,8 +2442,7 @@ fn compile_cached(ctx: &ConnCtx, text: &str) -> Result<Arc<CachedPlan>> {
 /// One `query` request end to end: strip the `EXPLAIN` prefix, compile
 /// through the shared plan cache (the cache key is the inner
 /// statement, so explaining a query warms its plan), then either
-/// render the plan trees or execute — a single shard through the
-/// byte-identical legacy path, N shards by physical-operator fan-out.
+/// render the plan trees or execute the plan through [`dispatch_plan`].
 fn handle_query(ctx: &ConnCtx, out_tx: &Sender<String>, text: &str) {
     let (explain, stmt) = fenestra_query::strip_explain(text);
     let plan = match compile_cached(ctx, stmt) {
@@ -2532,89 +2464,22 @@ fn handle_query(ctx: &ConnCtx, out_tx: &Sender<String>, text: &str) {
     let _ = out_tx.send(line);
 }
 
-/// Execute a compiled plan and build the reply line. One shard uses
-/// the legacy in-shard path (byte-identical to the unsharded server);
-/// N shards fan out by the plan's physical operator.
+/// Execute a compiled plan and build the reply line: every shard
+/// computes its [`PlanPart`] and this thread merges them, for every
+/// shard count, so the reply does not depend on the count.
 fn dispatch_plan(ctx: &ConnCtx, plan: &Arc<CachedPlan>) -> String {
-    if ctx.shard_txs.len() == 1 {
-        let (rtx, rrx) = channel::bounded(1);
-        if ctx.shard_txs[0]
-            .send(ShardCmd::QueryPlan {
-                plan: plan.clone(),
-                reply: rtx,
-            })
-            .is_err()
-        {
-            return proto::error("server shutting down");
-        }
-        return rrx
-            .recv()
-            .unwrap_or_else(|_| proto::error("server shutting down"));
-    }
-    match &plan.physical {
-        PhysicalPlan::Select { query } => fan_out_rows(ctx, query),
-        PhysicalPlan::History { entity, attr } => fan_out_history(ctx, *entity, *attr),
-        PhysicalPlan::WindowAgg(w) => fan_out_window(ctx, w),
-    }
-}
-
-/// Fan a select out to every shard and merge via [`merge_rows`].
-fn fan_out_rows(ctx: &ConnCtx, q: &Arc<Query>) -> String {
-    let replies = fan_out(&ctx.shard_txs, |reply| ShardCmd::QueryRows {
-        q: q.clone(),
+    let Some(parts) = fan_out(&ctx.shard_txs, |reply| ShardCmd::Query {
+        plan: plan.clone(),
         reply,
-    });
-    let Some(replies) = replies else {
+    }) else {
         return proto::error("server shutting down");
     };
-    match replies
+    match parts
         .into_iter()
-        .collect::<std::result::Result<Vec<_>, _>>()
+        .collect::<Result<Vec<_>>>()
+        .and_then(|parts| plan.physical.merge(parts))
     {
-        Ok(parts) => proto::query_reply(&QueryResult::Rows(merge_rows(q, parts)), None),
-        Err(msg) => proto::error(&msg),
-    }
-}
-
-/// Fan a history query out to every shard and merge every timeline
-/// that knows the entity, ordered by span start with ties broken by
-/// shard id then in-shard order (see
-/// [`fenestra_core::shard::merge_history`]).
-fn fan_out_history(ctx: &ConnCtx, entity: Symbol, attr: Symbol) -> String {
-    let replies = fan_out(&ctx.shard_txs, |reply| ShardCmd::QueryHistory {
-        entity,
-        attr,
-        reply,
-    });
-    let Some(replies) = replies else {
-        return proto::error("server shutting down");
-    };
-    let parts: Vec<HistorySpans> = replies.into_iter().flatten().collect();
-    if parts.is_empty() {
-        return proto::error(&Error::Invalid(format!("unknown entity `{entity}`")).to_string());
-    }
-    // Ids were resolved shard-side; no store needed here.
-    let spans = fenestra_core::shard::merge_history(parts);
-    proto::query_reply(&QueryResult::History(spans), None)
-}
-
-/// Fan a windowed aggregation out: every shard folds its facts into
-/// partial aggregates, and this thread merges them in shard order and
-/// fires the windows (see [`WindowPhys::merge`]).
-fn fan_out_window(ctx: &ConnCtx, w: &Arc<WindowPhys>) -> String {
-    let replies = fan_out(&ctx.shard_txs, |reply| ShardCmd::QueryPartials {
-        w: w.clone(),
-        reply,
-    });
-    let Some(replies) = replies else {
-        return proto::error("server shutting down");
-    };
-    let parts = match replies.into_iter().collect() {
-        Ok(parts) => parts,
-        Err(msg) => return proto::error(&msg),
-    };
-    match w.merge(parts) {
-        Ok(rows) => proto::query_reply(&QueryResult::Rows(rows), None),
+        Ok(res) => proto::query_reply(&res, None),
         Err(e) => proto::error(&e.to_string()),
     }
 }

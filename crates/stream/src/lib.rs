@@ -51,7 +51,6 @@ pub mod metrics;
 pub mod oneshot;
 pub mod operator;
 pub mod ops;
-pub mod parallel;
 pub mod watermark;
 pub mod window;
 

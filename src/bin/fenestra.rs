@@ -180,14 +180,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let out = plan
         .execute(&store, fenestra::query::QueryOptions::default())
         .map_err(|e| e.to_string())?;
-    match out {
-        fenestra::query::PlanOutput::Rows(rows) => {
-            print_result(q, QueryResult::Rows(rows), Some(&store));
-        }
-        fenestra::query::PlanOutput::History(spans) => {
-            print_result(q, QueryResult::History(spans), Some(&store));
-        }
-    }
+    print_result(q, out, Some(&store));
     Ok(())
 }
 

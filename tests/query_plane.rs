@@ -7,6 +7,7 @@
 
 use fenestra::base::time::Duration;
 use fenestra::core::EngineConfig;
+use fenestra::reason::parse_ontology;
 use fenestra::server::{Server, ServerConfig, ServerHandle};
 use fenestra::temporal::AttrSchema;
 use serde_json::Value as Json;
@@ -68,22 +69,29 @@ fn ok(v: &Json) -> bool {
 /// Start a server with `shards` shards, the visitor→room rule, and a
 /// populated store: a0–a4 in the lab, b0–b4 in the lobby (ts
 /// 1000–1009), plus a far-future event that opens a second window for
-/// the tumbling-aggregation queries. Zero lateness (the default) so
-/// every shard applies its events immediately; the trailing sync
-/// proves it.
+/// the tumbling-aggregation queries. The `alice` created last sorts
+/// between `a4` and `b0`, so entity-id order is not name order. Each
+/// visitor also names itself in `me`, whose ontology inverse
+/// `self_of` is entity-valued. Zero lateness (the default) so every
+/// shard applies its events immediately; the trailing sync proves it.
 fn populated_server(shards: u32) -> ServerHandle {
     let config = ServerConfig::new("127.0.0.1:0")
         .shards(shards)
         .metrics_addr("127.0.0.1:0")
         .engine(EngineConfig {
             max_lateness: Duration::millis(0),
+            auto_reason: true,
             ..EngineConfig::default()
         })
         .setup(|engine| {
             engine.declare_attr("room", AttrSchema::one());
             engine
-                .add_rules_text("rule mv:\n on sensors\n replace $(visitor).room = room")
+                .add_rules_text(
+                    "rule mv:\n on sensors\n replace $(visitor).room = room\n\
+                     rule me:\n on sensors\n replace $(visitor).me = visitor",
+                )
                 .unwrap();
+            engine.set_ontology(parse_ontology("property me inverse self_of").unwrap());
         });
     let handle = Server::start(config).expect("start server");
     let mut c = Client::connect(handle.local_addr());
@@ -236,6 +244,11 @@ fn plan_cache_dedupes_and_explain_shows_pushdown() {
             .any(|s| s.as_str() == Some("query")),
         "{v}"
     );
+    // A statement whose seventh byte falls inside a character gets an
+    // error reply, and the connection keeps answering.
+    let v = c.call(r#"{"cmd":"query","q":"ééééé"}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{v}");
+    assert_eq!(c.call_raw(legacy), first, "connection survives");
     let v = c.call(r#"{"op":"frobnicate"}"#);
     let err = v.get("error").and_then(Json::as_str).unwrap();
     assert!(err.contains("unknown op"), "{v}");
@@ -251,25 +264,54 @@ fn plan_cache_dedupes_and_explain_shows_pushdown() {
 #[test]
 fn sharded_fanout_matches_single_shard() {
     let mut one = populated_server(1);
+    let mut two = populated_server(2);
     let mut four = populated_server(4);
     let mut c1 = Client::connect(one.local_addr());
+    let mut c2 = Client::connect(two.local_addr());
     let mut c4 = Client::connect(four.local_addr());
 
+    // Every shard count answers through the same per-shard part and
+    // merge, so the reply lines are byte-identical: entity columns are
+    // ordered by name, and `LIMIT` keeps the first rows in that order.
     for q in [
         r#"{"cmd":"query","q":"select ?v where { ?v room \"lab\" }"}"#,
         r#"{"cmd":"query","q":"select ?v ?r where { ?v room ?r }"}"#,
+        r#"{"cmd":"query","q":"select ?v ?r where { ?v room ?r } limit 7"}"#,
+        r#"{"cmd":"query","q":"select count ?v where { ?v room ?r } limit 7"}"#,
+        r#"{"cmd":"query","q":"select ?v ?o where { ?v self_of ?o }"}"#,
+        r#"{"cmd":"query","q":"history a3 self_of"}"#,
+        r#"{"cmd":"query","q":"history nobody room"}"#,
         r#"{"cmd":"query","sql":"SELECT entity FROM state WHERE room = \"lobby\""}"#,
         r#"{"cmd":"query","sql":"SELECT entity, room FROM state"}"#,
+        r#"{"cmd":"query","sql":"SELECT entity, room FROM state LIMIT 7"}"#,
         r#"{"cmd":"query","sql":"SELECT count(room) AS n FROM state GROUP BY tumbling(60000)"}"#,
         r#"{"cmd":"query","sql":"SELECT window_start, room, count(*) AS n FROM state GROUP BY room, sliding(4, 2) DURING 0 TO 1010"}"#,
         r#"{"cmd":"query","sql":"SELECT window_start, window_end, max(room) AS hi FROM state GROUP BY session(3)"}"#,
         r#"{"cmd":"query","sql":"SELECT entity, min(room) AS lo FROM state GROUP BY entity, tumbling(1s) LIMIT 4"}"#,
     ] {
-        let r1 = c1.call(q);
-        let r4 = c4.call(q);
-        assert!(ok(&r1), "{q}: {r1}");
-        assert_eq!(row_values(&r1), row_values(&r4), "{q}");
+        let r1 = c1.call_raw(q);
+        assert_eq!(c2.call_raw(q), r1, "2 shards: {q}");
+        assert_eq!(c4.call_raw(q), r1, "4 shards: {q}");
     }
+    let limited = c1.call(r#"{"cmd":"query","sql":"SELECT entity, room FROM state LIMIT 7"}"#);
+    let names: Vec<&str> = limited
+        .get("rows")
+        .and_then(Json::as_array)
+        .unwrap_or_else(|| panic!("{limited}"))
+        .iter()
+        .map(|r| r.get("entity").and_then(Json::as_str).unwrap())
+        .collect();
+    assert_eq!(names, ["a0", "a1", "a2", "a3", "a4", "alice", "b0"]);
+    let v = c1.call(r#"{"cmd":"query","q":"history a3 self_of"}"#);
+    assert_eq!(
+        v.get("history")
+            .and_then(Json::as_array)
+            .and_then(|spans| spans.first())
+            .and_then(|span| span.get("value"))
+            .and_then(Json::as_str),
+        Some("a3"),
+        "entity-valued spans resolve to names: {v}"
+    );
 
     // A repeated statement is served from the cache on the sharded
     // server too (visible below on the metrics listener).
@@ -278,14 +320,6 @@ fn sharded_fanout_matches_single_shard() {
         c4.call_raw(lab),
         c4.call_raw(lab),
         "cached fan-out dispatch"
-    );
-
-    // History merges identically (spans ordered by start either way).
-    let h = r#"{"cmd":"query","q":"history a3 room"}"#;
-    assert_eq!(
-        c1.call(h).get("history"),
-        c4.call(h).get("history"),
-        "history fan-out merge"
     );
 
     // The sharded EXPLAIN shows the pushed predicate reaching the
@@ -344,6 +378,7 @@ fn sharded_fanout_matches_single_shard() {
     assert!(sample("fenestra_plan_exec_us_count") >= 6);
 
     one.shutdown();
+    two.shutdown();
     four.shutdown();
 }
 
