@@ -137,7 +137,7 @@ fn evaluate(
     plan: &CachedPlan,
     store: &fenestra_temporal::TemporalStore,
 ) -> Option<Arc<BTreeSet<Bindings>>> {
-    match plan.execute(store, QueryOptions::default()) {
+    match plan.execute_set(store, QueryOptions::default()) {
         Ok(PlanOutput::Rows(rows)) => Some(Arc::new(rows.into_iter().collect())),
         Ok(PlanOutput::History(_)) | Err(_) => None,
     }

@@ -184,13 +184,15 @@ crate::metrics! {
     /// Query-planner instrumentation: compile and execution latency of
     /// cached plans. Compiles are sampled on plan-cache misses only
     /// (hits skip compilation entirely); executions are sampled once
-    /// per query dispatch, covering shard fan-out and merge.
+    /// per executed query, from the dispatch of its burst (every query
+    /// line a connection had buffered, sent to the shards together) to
+    /// its merged reply.
     pub struct PlanObs {
         fn readings in "plan" {
             compile_us: Histogram
                 "Time compiling one statement into a physical plan, recorded on cache misses (microseconds)",
             exec_us: Histogram
-                "Time executing one compiled plan end to end, fan-out and merge included (microseconds)",
+                "Time from the dispatch of a query's burst to its merged reply (microseconds)",
         }
     }
 }

@@ -32,10 +32,43 @@ pub struct CacheStats {
 /// `Arc`; all methods take `&self`.
 #[derive(Debug)]
 pub struct PlanCache {
-    plans: Mutex<HashMap<String, Arc<CachedPlan>>>,
+    plans: Mutex<Generations>,
     cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// Least-recently-used eviction in two generations: a lookup or insert
+/// puts its statement in `hot`; when `hot` holds half the cap it
+/// becomes `cold` and the old `cold` is dropped. A statement used again
+/// before two such turns is kept, so a working set below half the cap
+/// always hits, however many one-off statements pass through.
+#[derive(Debug, Default)]
+struct Generations {
+    hot: HashMap<String, Arc<CachedPlan>>,
+    cold: HashMap<String, Arc<CachedPlan>>,
+}
+
+impl Generations {
+    fn get(&mut self, key: &str, half: usize) -> Option<Arc<CachedPlan>> {
+        if let Some(plan) = self.hot.get(key) {
+            return Some(plan.clone());
+        }
+        let (key, plan) = self.cold.remove_entry(key)?;
+        self.insert(key, plan.clone(), half);
+        Some(plan)
+    }
+
+    fn insert(&mut self, key: String, plan: Arc<CachedPlan>, half: usize) {
+        if self.hot.len() >= half {
+            self.cold = std::mem::take(&mut self.hot);
+        }
+        self.hot.insert(key, plan);
+    }
+
+    fn len(&self) -> usize {
+        self.hot.len() + self.cold.len()
+    }
 }
 
 impl Default for PlanCache {
@@ -45,11 +78,12 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// A cache bounded to `cap` distinct statements.
+    /// A cache bounded to `cap` distinct statements (at least two: one
+    /// per generation).
     pub fn new(cap: usize) -> PlanCache {
         PlanCache {
-            plans: Mutex::new(HashMap::new()),
-            cap: cap.max(1),
+            plans: Mutex::new(Generations::default()),
+            cap: cap.max(2),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -59,7 +93,8 @@ impl PlanCache {
     /// plan and whether this was a cache hit.
     pub fn get_or_compile(&self, src: &str) -> Result<(Arc<CachedPlan>, bool)> {
         let key = src.trim();
-        if let Some(plan) = self.plans.lock().unwrap().get(key).cloned() {
+        let half = self.cap / 2;
+        if let Some(plan) = self.plans.lock().unwrap().get(key, half) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((plan, true));
         }
@@ -68,19 +103,11 @@ impl PlanCache {
         let plan = Arc::new(compile(key)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut plans = self.plans.lock().unwrap();
-        if let Some(existing) = plans.get(key) {
+        if let Some(existing) = plans.get(key, half) {
             // A racing thread beat us; share its plan.
-            return Ok((existing.clone(), false));
+            return Ok((existing, false));
         }
-        if plans.len() >= self.cap {
-            // Bounded: evict an arbitrary entry. The cache is a
-            // dedup, not an LRU — any eviction policy is correct, and
-            // arbitrary keeps the hot path free of bookkeeping.
-            if let Some(k) = plans.keys().next().cloned() {
-                plans.remove(&k);
-            }
-        }
-        plans.insert(key.to_string(), plan.clone());
+        plans.insert(key.to_string(), plan.clone(), half);
         Ok((plan, false))
     }
 
@@ -135,5 +162,26 @@ mod tests {
         assert!(!hit);
         let (_, hit) = cache.get_or_compile(Q).unwrap();
         assert!(hit);
+    }
+
+    #[test]
+    fn hot_statements_survive_a_stream_of_one_offs() {
+        // Four statements in steady use, each followed by a statement
+        // never seen before, through a cache with room for sixteen.
+        let cache = PlanCache::new(16);
+        let hot: Vec<String> = (0..4)
+            .map(|i| format!("select ?v where {{ ?v hot{i} ?x }}"))
+            .collect();
+        let mut fresh = 0;
+        for round in 0..200 {
+            for q in &hot {
+                let (_, hit) = cache.get_or_compile(q).unwrap();
+                assert!(hit || round == 0, "`{q}` missed in round {round}");
+                fresh += 1;
+                let one_off = format!("select ?v where {{ ?v once{fresh} ?x }}");
+                assert!(!cache.get_or_compile(&one_off).unwrap().1);
+            }
+        }
+        assert!(cache.stats().entries <= 16);
     }
 }

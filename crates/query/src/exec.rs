@@ -24,8 +24,35 @@ pub fn execute(store: &TemporalStore, q: &Query) -> Result<Vec<Bindings>> {
     execute_with(store, q, QueryOptions::default())
 }
 
-/// Execute a query, returning deterministic (sorted) rows.
+/// Execute a query, returning deterministic rows: ordered by value,
+/// with entity ids ordered by their entity's name, then cut to `limit`
+/// (or counted). That is the order a sharded server answers in
+/// ([`crate::merge_rows`]), so one store and N shards agree.
 pub fn execute_with(store: &TemporalStore, q: &Query, opts: QueryOptions) -> Result<Vec<Bindings>> {
+    let rows = select_rows(store, q, opts)?;
+    Ok(limit_and_count(q, by_name(store, rows)))
+}
+
+/// Execute a query whose rows the caller reads as a set, as a watch
+/// does: the rows [`execute_with`] returns, but with entity ids in id
+/// order. Name order only decides which rows a `limit` keeps, so it is
+/// paid for only under one.
+pub fn execute_set(store: &TemporalStore, q: &Query, opts: QueryOptions) -> Result<Vec<Bindings>> {
+    let rows = select_rows(store, q, opts)?;
+    let rows = match q.limit {
+        Some(_) => by_name(store, rows),
+        None => rows,
+    };
+    Ok(limit_and_count(q, rows))
+}
+
+/// The rows of `q`, projected, sorted by value (entity ids by id) and
+/// deduplicated, before `limit` and `count`.
+pub(crate) fn select_rows(
+    store: &TemporalStore,
+    q: &Query,
+    opts: QueryOptions,
+) -> Result<Vec<Bindings>> {
     if q.patterns.is_empty() {
         return Err(Error::Invalid("query has no patterns".into()));
     }
@@ -97,16 +124,57 @@ pub fn execute_with(store: &TemporalStore, q: &Query, opts: QueryOptions) -> Res
         .collect();
     final_rows.sort();
     final_rows.dedup();
+    Ok(final_rows)
+}
+
+/// Reorder sorted, deduplicated rows as if every entity id were its
+/// entity's name, and deduplicate on that. Rows without ids are
+/// already in that order.
+fn by_name(store: &TemporalStore, rows: Vec<Bindings>) -> Vec<Bindings> {
+    if !rows
+        .iter()
+        .flatten()
+        .any(|(_, v)| matches!(v, Value::Id(_)))
+    {
+        return rows;
+    }
+    let mut keyed: Vec<(Bindings, Bindings)> = rows
+        .into_iter()
+        .map(|row| {
+            let mut named = row.clone();
+            for (_, v) in &mut named {
+                resolve(store, v);
+            }
+            (named, row)
+        })
+        .collect();
+    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+    keyed.dedup_by(|a, b| a.0 == b.0);
+    keyed.into_iter().map(|(_, row)| row).collect()
+}
+
+/// Replace an entity id by the entity's name.
+pub(crate) fn resolve(store: &TemporalStore, v: &mut Value) {
+    if let Value::Id(e) = *v {
+        if let Some(name) = store.entity_name(e) {
+            *v = Value::Str(name);
+        }
+    }
+}
+
+/// The tail every select answer ends with: keep the first `limit`
+/// rows, or count them.
+pub(crate) fn limit_and_count(q: &Query, mut rows: Vec<Bindings>) -> Vec<Bindings> {
     if let Some(n) = q.limit {
-        final_rows.truncate(n);
+        rows.truncate(n);
     }
     if q.count_only {
-        return Ok(vec![vec![(
+        return vec![vec![(
             Symbol::intern("count"),
-            Value::Int(final_rows.len() as i64),
-        )]]);
+            Value::Int(rows.len() as i64),
+        )]];
     }
-    Ok(final_rows)
+    rows
 }
 
 fn selectivity(p: &TriplePattern, bound: &[Symbol]) -> u32 {

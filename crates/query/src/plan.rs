@@ -1018,10 +1018,24 @@ impl CachedPlan {
 
     /// Execute against one store.
     pub fn execute(&self, store: &TemporalStore, opts: QueryOptions) -> Result<PlanOutput> {
+        self.run(store, opts, crate::exec::execute_with)
+    }
+
+    /// [`CachedPlan::execute`] for a caller that reads the rows as a
+    /// set (a watch): the same rows, not in name order
+    /// ([`crate::exec::execute_set`]).
+    pub fn execute_set(&self, store: &TemporalStore, opts: QueryOptions) -> Result<PlanOutput> {
+        self.run(store, opts, crate::exec::execute_set)
+    }
+
+    fn run(
+        &self,
+        store: &TemporalStore,
+        opts: QueryOptions,
+        select: fn(&TemporalStore, &Query, QueryOptions) -> Result<Vec<Bindings>>,
+    ) -> Result<PlanOutput> {
         match &self.physical {
-            PhysicalPlan::Select { query } => Ok(PlanOutput::Rows(crate::exec::execute_with(
-                store, query, opts,
-            )?)),
+            PhysicalPlan::Select { query } => Ok(PlanOutput::Rows(select(store, query, opts)?)),
             PhysicalPlan::History { entity, attr } => {
                 let Some(e) = store.lookup_entity(*entity) else {
                     return Err(Error::Invalid(format!("unknown entity `{entity}`")));
@@ -1185,7 +1199,8 @@ pub fn render_logical(plan: &LogicalPlan) -> String {
 }
 
 /// Render a physical plan as an indented tree, showing the shard
-/// fan-out / merge boundary for `shards > 1`.
+/// fan-out / merge boundary. Every shard count, one included, runs a
+/// per-shard part and a merge, so every count renders the same tree.
 pub fn render_physical(plan: &PhysicalPlan, shards: usize) -> String {
     let mut out = String::new();
     match plan {
@@ -1199,15 +1214,12 @@ pub fn render_physical(plan: &PhysicalPlan, shards: usize) -> String {
                 line(&mut out, depth, &format!("Limit n={n}"));
                 depth += 1;
             }
-            if shards > 1 {
-                line(
-                    &mut out,
-                    depth,
-                    &format!("Merge shards={shards} sort=rows dedup=true"),
-                );
-                depth += 1;
-            }
-            let partial = if shards > 1 { " partial" } else { "" };
+            line(
+                &mut out,
+                depth,
+                &format!("Merge shards={shards} sort=rows dedup=true"),
+            );
+            depth += 1;
             let sel = if query.select.is_empty() {
                 "*".to_string()
             } else {
@@ -1217,7 +1229,7 @@ pub fn render_physical(plan: &PhysicalPlan, shards: usize) -> String {
                 &mut out,
                 depth,
                 &format!(
-                    "StateScan{partial} patterns=[{}] filters=[{}] time={} select=[{sel}]",
+                    "StateScan partial patterns=[{}] filters=[{}] time={} select=[{sel}]",
                     fmt_patterns(&query.patterns),
                     fmt_exprs(&query.filters),
                     fmt_time(query.time)
@@ -1225,18 +1237,14 @@ pub fn render_physical(plan: &PhysicalPlan, shards: usize) -> String {
             );
         }
         PhysicalPlan::History { entity, attr } => {
-            let mut depth = 0;
-            if shards > 1 {
-                line(
-                    &mut out,
-                    depth,
-                    &format!("HistoryMerge shards={shards} order=(start, shard, seq)"),
-                );
-                depth += 1;
-            }
             line(
                 &mut out,
-                depth,
+                0,
+                &format!("HistoryMerge shards={shards} order=(start, shard, seq)"),
+            );
+            line(
+                &mut out,
+                1,
                 &format!("HistoryScan entity=\"{entity}\" attr={attr}"),
             );
         }
@@ -1449,6 +1457,70 @@ mod tests {
             "Merge shards=4 sort=rows dedup=true\n\
              \x20 StateScan partial patterns=[?entity room \"lab\"] filters=[] time=current select=[entity]\n"
         );
+    }
+
+    #[test]
+    fn golden_explain_one_shard_shows_the_merge() {
+        let plan = compile("select ?v where { ?v room \"lab\" } limit 2").unwrap();
+        let (_, physical) = render_explain(&plan, 1);
+        assert_eq!(
+            physical,
+            "Limit n=2\n\
+             \x20 Merge shards=1 sort=rows dedup=true\n\
+             \x20   StateScan partial patterns=[?v room \"lab\"] filters=[] time=current select=[v]\n"
+        );
+        let plan = compile("history v1 room").unwrap();
+        let (_, physical) = render_explain(&plan, 1);
+        assert_eq!(
+            physical,
+            "HistoryMerge shards=1 order=(start, shard, seq)\n\
+             \x20 HistoryScan entity=\"v1\" attr=room\n"
+        );
+    }
+
+    #[test]
+    fn rows_are_ordered_by_entity_name_before_limit() {
+        // Created in an order that is not name order, so entity-id
+        // order and name order differ.
+        let mut s = TemporalStore::new();
+        s.declare_attr("room", AttrSchema::one());
+        for (i, v) in ["zed", "mia", "amy", "bob"].into_iter().enumerate() {
+            let e = s.named_entity(v);
+            s.replace_at(e, "room", "lab", Timestamp::new(10 + i as u64))
+                .unwrap();
+        }
+        let names = |src: &str| -> Vec<String> {
+            rows(&compile(src).unwrap(), &s)
+                .iter()
+                .map(|row| match row[0].1 {
+                    Value::Id(e) => s.entity_name(e).unwrap().to_string(),
+                    other => panic!("{other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(
+            names("select ?v where { ?v room \"lab\" } limit 2"),
+            ["amy", "bob"]
+        );
+        assert_eq!(
+            names("select ?v where { ?v room \"lab\" }"),
+            ["amy", "bob", "mia", "zed"]
+        );
+        // A watch reads the same rows as a set.
+        for src in [
+            "select ?v where { ?v room \"lab\" } limit 2",
+            "select ?v where { ?v room \"lab\" }",
+        ] {
+            let plan = compile(src).unwrap();
+            let set = |out: PlanOutput| -> std::collections::BTreeSet<Bindings> {
+                out.rows().unwrap().iter().cloned().collect()
+            };
+            assert_eq!(
+                set(plan.execute_set(&s, QueryOptions::default()).unwrap()),
+                set(plan.execute(&s, QueryOptions::default()).unwrap()),
+                "{src}"
+            );
+        }
     }
 
     #[test]

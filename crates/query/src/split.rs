@@ -20,11 +20,10 @@
 //! [`crate::CachedPlan::execute`] instead.
 
 use crate::ast::Query;
-use crate::exec::{Bindings, QueryOptions};
+use crate::exec::{limit_and_count, resolve, select_rows, Bindings, QueryOptions};
 use crate::plan::{PhysicalPlan, PlanOutput};
 use crate::window::WindowPartials;
 use fenestra_base::error::{Error, Result};
-use fenestra_base::symbol::Symbol;
 use fenestra_base::time::Interval;
 use fenestra_base::value::Value;
 use fenestra_temporal::{Provenance, TemporalStore};
@@ -83,15 +82,6 @@ impl PhysicalPlan {
     }
 }
 
-/// Replace a shard-local entity id by the entity's name.
-fn resolve(store: &TemporalStore, v: &mut Value) {
-    if let Value::Id(e) = *v {
-        if let Some(name) = store.entity_name(e) {
-            *v = Value::Str(name);
-        }
-    }
-}
-
 /// The select arm of [`PhysicalPlan::partial`]: run `q` with
 /// `limit`/`count` removed and entity ids resolved to names. Merge the
 /// results with [`merge_rows`].
@@ -100,10 +90,7 @@ pub fn partial_select(
     q: &Query,
     opts: QueryOptions,
 ) -> Result<Vec<Bindings>> {
-    let mut inner = q.clone();
-    inner.count_only = false;
-    inner.limit = None;
-    let mut rows = crate::exec::execute_with(store, &inner, opts)?;
+    let mut rows = select_rows(store, q, opts)?;
     for row in &mut rows {
         for (_, v) in row.iter_mut() {
             resolve(store, v);
@@ -114,21 +101,13 @@ pub fn partial_select(
 
 /// The select arm of [`PhysicalPlan::merge`]: sort and deduplicate
 /// every [`partial_select`] result, then apply `q`'s `limit` and
-/// `count`, the same tail `execute_with` applies to one store.
+/// `count`, the same tail [`crate::exec::execute_with`] applies to one
+/// store.
 pub fn merge_rows(q: &Query, parts: impl IntoIterator<Item = Vec<Bindings>>) -> Vec<Bindings> {
     let mut rows: Vec<Bindings> = parts.into_iter().flatten().collect();
     rows.sort();
     rows.dedup();
-    if let Some(n) = q.limit {
-        rows.truncate(n);
-    }
-    if q.count_only {
-        return vec![vec![(
-            Symbol::intern("count"),
-            Value::Int(rows.len() as i64),
-        )]];
-    }
-    rows
+    limit_and_count(q, rows)
 }
 
 /// The history arm of [`PhysicalPlan::merge`]: one timeline ordered by

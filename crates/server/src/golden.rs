@@ -11,6 +11,7 @@
 //! Run with `FENESTRA_BLESS=1` to rewrite the golden files from the
 //! current output.
 
+use crate::cpu::RoleCpu;
 use crate::metrics::ServerMetrics;
 use crate::prom::render_prometheus;
 use crate::server::build_stats;
@@ -40,7 +41,7 @@ impl Fill {
     }
 }
 
-fn filled() -> (ServerMetrics, PipelineObs, CacheStats) {
+fn filled() -> (ServerMetrics, PipelineObs, CacheStats, RoleCpu) {
     let mut f = Fill(0);
     let m = ServerMetrics::default();
     for a in [
@@ -148,7 +149,24 @@ fn filled() -> (ServerMetrics, PipelineObs, CacheStats) {
         misses: f.next(),
         entries: f.next(),
     };
-    (m, obs, plans)
+    let cpu = RoleCpu {
+        shard_user_us: f.next(),
+        shard_sys_us: f.next(),
+        shard_vol_switches: f.next(),
+        reader_user_us: f.next(),
+        reader_sys_us: f.next(),
+        reader_vol_switches: f.next(),
+        writer_user_us: f.next(),
+        writer_sys_us: f.next(),
+        writer_vol_switches: f.next(),
+        reactor_user_us: f.next(),
+        reactor_sys_us: f.next(),
+        reactor_vol_switches: f.next(),
+        other_user_us: f.next(),
+        other_sys_us: f.next(),
+        other_vol_switches: f.next(),
+    };
+    (m, obs, plans, cpu)
 }
 
 fn golden_path(name: &str) -> String {
@@ -183,8 +201,8 @@ fn family_blocks(body: &str) -> Vec<String> {
 
 #[test]
 fn prometheus_body_matches_golden() {
-    let (m, obs, plans) = filled();
-    let body = render_prometheus(&m, &obs, &plans);
+    let (m, obs, plans, cpu) = filled();
+    let body = render_prometheus(&m, &obs, &plans, &cpu);
     let want = golden("metrics.prom", &body);
     let (got, want) = (family_blocks(&body), family_blocks(&want));
     for block in &got {
@@ -198,8 +216,8 @@ fn prometheus_body_matches_golden() {
 
 #[test]
 fn stats_reply_matches_golden() {
-    let (m, obs, plans) = filled();
-    let reply = build_stats(&m, &obs, &plans, true);
+    let (m, obs, plans, cpu) = filled();
+    let reply = build_stats(&m, &obs, &plans, &cpu, true);
     let want = golden("stats.json", &format!("{reply}\n"));
     assert_eq!(format!("{reply}\n"), want);
 }

@@ -188,6 +188,7 @@
 
 pub(crate) mod admit;
 pub mod config;
+pub mod cpu;
 #[cfg(test)]
 mod golden;
 pub mod metrics;

@@ -6,6 +6,7 @@
 //! threads update them without locks; the `stats` command reads a
 //! consistent-enough snapshot.
 
+use crate::cpu::RetiredCpu;
 use fenestra_query::CacheStats;
 use serde_json::Value as Json;
 use std::sync::atomic::Ordering;
@@ -61,6 +62,9 @@ fenestra_obs::metrics! {
             /// By `--gc-horizon-ms`, summed across shards.
             gc_removed: Counter "Closed facts reclaimed by horizon GC",
         }
+        /// CPU of the JSONL connection threads that have exited, for
+        /// the per-role split ([`crate::cpu::RoleCpu::read`]).
+        pub retired_cpu: RetiredCpu,
     }
 }
 

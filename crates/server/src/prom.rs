@@ -15,6 +15,7 @@
 //! series). Scrapes read relaxed atomics only; a scraper can never
 //! block ingest.
 
+use crate::cpu::{role_cpu, RoleCpu};
 use crate::metrics::{plan_cache, ServerMetrics};
 use fenestra_obs::{
     bucket_upper_bound, HistogramSnapshot, Kind, PipelineObs, Reading, Readings, ShardObs, BUCKETS,
@@ -27,9 +28,14 @@ use std::fmt::Write;
 type Series = Vec<(Option<usize>, Readings)>;
 
 /// Render the complete `/metrics` body.
-pub fn render_prometheus(metrics: &ServerMetrics, obs: &PipelineObs, plans: &CacheStats) -> String {
+pub fn render_prometheus(
+    metrics: &ServerMetrics,
+    obs: &PipelineObs,
+    plans: &CacheStats,
+    cpu: &RoleCpu,
+) -> String {
     let mut out = String::with_capacity(16 * 1024);
-    for series in groups(metrics, obs) {
+    for series in groups(metrics, obs, cpu) {
         families(&mut out, &series);
     }
     plan_metrics(&mut out, obs, plans);
@@ -37,7 +43,7 @@ pub fn render_prometheus(metrics: &ServerMetrics, obs: &PipelineObs, plans: &Cac
 }
 
 /// Every declared group except the planner's, read once.
-fn groups(metrics: &ServerMetrics, obs: &PipelineObs) -> [Series; 6] {
+fn groups(metrics: &ServerMetrics, obs: &PipelineObs, cpu: &RoleCpu) -> [Series; 7] {
     let shards = |read: &dyn Fn(&ShardObs) -> Readings| -> Series {
         obs.shards
             .iter()
@@ -52,6 +58,7 @@ fn groups(metrics: &ServerMetrics, obs: &PipelineObs) -> [Series; 6] {
         vec![(None, obs.repl.readings())],
         vec![(None, obs.stages())],
         shards(&ShardObs::stages),
+        vec![(None, role_cpu(cpu))],
     ]
 }
 
@@ -240,7 +247,7 @@ fenestra_stage_queue_wait_us_count{shard=\"1\"} 0
             misses: 2,
             entries: 2,
         };
-        let body = render_prometheus(&m, &obs, &plans);
+        let body = render_prometheus(&m, &obs, &plans, &RoleCpu::default());
         assert!(!body.contains("18446744073709551615"));
         let mut counts: std::collections::HashMap<String, u64> = Default::default();
         let mut infs: std::collections::HashMap<String, u64> = Default::default();
@@ -333,7 +340,7 @@ fenestra_plan_cache_entries 3
 fenestra_plan_compile_us_bucket{le=\"+Inf\"} 0
 fenestra_plan_compile_us_sum 0
 fenestra_plan_compile_us_count 0
-# HELP fenestra_plan_exec_us Time executing one compiled plan end to end, fan-out and merge included (microseconds)
+# HELP fenestra_plan_exec_us Time from the dispatch of a query's burst to its merged reply (microseconds)
 # TYPE fenestra_plan_exec_us histogram
 fenestra_plan_exec_us_bucket{le=\"0\"} 1
 fenestra_plan_exec_us_bucket{le=\"1\"} 2
@@ -352,7 +359,7 @@ fenestra_plan_exec_us_count 2
         let obs = PipelineObs::new(1);
         let (metrics, plans) = (ServerMetrics::default(), CacheStats::default());
         let mut names = Vec::new();
-        for series in groups(&metrics, &obs)
+        for series in groups(&metrics, &obs, &RoleCpu::default())
             .into_iter()
             .chain(plan_groups(&obs, &plans))
         {

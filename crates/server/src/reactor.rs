@@ -848,7 +848,7 @@ fn handoff_jsonl(r: &mut Reactor, token: u64) {
     let prefix = conn.rbuf;
     let stream = conn.stream;
     let _ = thread::Builder::new()
-        .name("fenestra-conn".into())
+        .name(crate::cpu::READER_THREAD.into())
         .spawn(move || {
             crate::server::handle_conn(stream, ctx.clone(), token, prefix);
             ctx.metrics.conns_open.fetch_sub(1, Ordering::Relaxed);

@@ -29,6 +29,7 @@
 
 use crate::admit::{AckPart, AckSink, AckTable, Flush, FrameId, Replies, Stage};
 use crate::config::{Backpressure, ServerConfig};
+use crate::cpu::{role_cpu, RoleCpu, WRITER_THREAD};
 use crate::metrics::{plan_cache, ServerMetrics};
 use crate::proto::{self, Request};
 use crossbeam::channel::{self, Receiver, Sender};
@@ -238,12 +239,14 @@ pub(crate) enum ShardCmd {
         acks: Vec<AckPart>,
         enqueued: Instant,
     },
-    /// This shard's part of a compiled plan's answer
-    /// ([`fenestra_query::PhysicalPlan::partial`]). The connection
-    /// thread merges every shard's part, whatever the shard count.
+    /// This shard's part of each plan of one connection's query burst
+    /// ([`fenestra_query::PhysicalPlan::partial`]), in order, in one
+    /// reply. The connection thread merges every shard's parts,
+    /// whatever the shard count. Queued `Ingest` may run between the
+    /// plans; nothing else overtakes them.
     Query {
-        plan: Arc<CachedPlan>,
-        reply: Sender<Result<PlanPart>>,
+        plans: Arc<[Arc<CachedPlan>]>,
+        reply: Sender<Vec<Result<PlanPart>>>,
     },
     /// Register a standing query on this shard; deltas for this
     /// shard's partition of the rows go to `sink`. Watches of the
@@ -683,6 +686,10 @@ impl Server {
                 ack_table: ack_table.clone(),
                 repl: repl.clone(),
                 sync_tx: sync_tx.clone(),
+                watches: Vec::new(),
+                pending: VecDeque::new(),
+                last_ts: 0,
+                deferred: None,
             };
             shard_threads.push(
                 thread::Builder::new()
@@ -1107,7 +1114,8 @@ impl Durability {
     }
 }
 
-/// Everything one shard thread owns.
+/// Everything one shard thread owns, and what its loop keeps between
+/// commands.
 struct ShardCtx {
     id: u32,
     shards_total: u32,
@@ -1130,61 +1138,46 @@ struct ShardCtx {
     /// here (with the WAL position the covering commit reached) instead
     /// of being voted directly.
     sync_tx: Option<Sender<GateMsg>>,
+    watches: Vec<(Watch, Sender<String>)>,
+    /// Durable-mode ack parts held until this shard's events are
+    /// actually covered by a fsynced WAL frame, in admission order.
+    pending: VecDeque<AckPart>,
+    /// Highest event timestamp applied on this shard (the GC horizon's
+    /// reference point).
+    last_ts: u64,
+    /// A command pulled off the queue out of turn (while coalescing an
+    /// ingest batch, or looking for ingest between the plans of a
+    /// query burst); handled next, so its place in the FIFO holds.
+    deferred: Option<ShardCmd>,
 }
 
-fn shard_loop(ctx: ShardCtx) {
-    let ShardCtx {
-        id,
-        shards_total,
-        mut engine,
-        rx,
-        snapshot_path,
-        mut durability,
-        batch_max,
-        gc_horizon,
-        metrics,
-        obs,
-        slow_ms,
-        ack_table,
-        repl,
-        sync_tx,
-    } = ctx;
-    let is_following = || repl.as_ref().is_some_and(|r| r.is_following());
-    if let Some(d) = durability.as_mut() {
-        if is_following() {
+fn shard_loop(mut s: ShardCtx) {
+    let following = s.is_following();
+    if let Some(d) = s.durability.as_mut() {
+        if following {
             // A follower's WAL is a byte mirror of the leader's: the
             // local journal from `setup`/recovery is discarded (the
             // shipped stream is the only writer), and no checkpoint is
             // taken — rotating locally would fork the generation
             // lineage the leader's `Rotate` frames advance.
-            let _ = engine.take_journal();
+            let _ = s.engine.take_journal();
             d.refresh_wal_inventory();
         } else if d.boot_resumed {
             // Fold the replayed tail into a fresh snapshot so the next
             // boot recovers from there, not from the same tail again.
-            let _ = d.checkpoint(&mut engine);
+            let _ = d.checkpoint(&mut s.engine);
             d.refresh_wal_inventory();
         } else {
             // First boot: persist whatever `setup` journaled (schema,
             // rule side effects) before the first event.
-            let _ = d.drain(&mut engine);
+            let _ = d.drain(&mut s.engine);
             d.refresh_wal_inventory();
         }
     }
-    let mut watches: Vec<(Watch, Sender<String>)> = Vec::new();
-    // Durable-mode ack parts held until this shard's events are
-    // actually covered by a fsynced WAL frame, in admission order.
-    let mut pending: VecDeque<AckPart> = VecDeque::new();
-    // Highest event timestamp applied on this shard (the GC horizon's
-    // reference point).
-    let mut last_ts: u64 = 0;
-    // A non-ingest command pulled off the queue while coalescing an
-    // ingest batch; handled on the next iteration (FIFO preserved).
-    let mut deferred_cmd: Option<ShardCmd> = None;
     loop {
-        let cmd = match deferred_cmd.take() {
+        let cmd = match s.deferred.take() {
             Some(cmd) => cmd,
-            None => match rx.recv() {
+            None => match s.rx.recv() {
                 Ok(cmd) => cmd,
                 Err(_) => break,
             },
@@ -1197,117 +1190,15 @@ fn shard_loop(ctx: ShardCtx) {
         match cmd {
             ShardCmd::Ingest {
                 evs,
-                acks: ack,
+                acks,
                 enqueued,
-            } => {
-                let dequeued = Instant::now();
-                obs.queue_wait_us
-                    .record(dequeued.saturating_duration_since(enqueued).as_micros() as u64);
-                // Group commit: greedily drain the queue into one event
-                // batch (up to `batch_max` events), apply it in one
-                // engine pass, append ONE WAL frame, fsync once, and
-                // poll watches once — instead of once per part.
-                let mut batch = evs;
-                let mut acks: VecDeque<AckPart> = ack.into_iter().collect();
-                while batch.len() < batch_max {
-                    match rx.try_recv() {
-                        Ok(ShardCmd::Ingest {
-                            evs,
-                            acks: ack,
-                            enqueued,
-                        }) => {
-                            obs.queue_wait_us.record(
-                                dequeued.saturating_duration_since(enqueued).as_micros() as u64,
-                            );
-                            batch.extend(evs);
-                            acks.extend(ack);
-                        }
-                        Ok(other) => {
-                            deferred_cmd = Some(other);
-                            break;
-                        }
-                        Err(_) => break,
-                    }
-                }
-                let n = batch.len() as u64;
-                last_ts = last_ts.max(batch.iter().map(|e| e.ts.millis()).max().unwrap_or(0));
-                let late = engine.push_batch(batch);
-                let applied = Instant::now();
-                if late > 0 {
-                    // Deferred or not, the ack means "accepted", not
-                    // "applied": events beyond the lateness bound are
-                    // discarded and become visible here.
-                    metrics.late_dropped.fetch_add(late, Ordering::Relaxed);
-                }
-                if n > 0 {
-                    metrics.observe_ingest_batch(n);
-                }
-                let committed = match durability.as_mut() {
-                    Some(d) => match d.drain(&mut engine) {
-                        Some(ops) => {
-                            if ops > 0 && n > 1 {
-                                metrics.group_commits.fetch_add(1, Ordering::Relaxed);
-                            }
-                            true
-                        }
-                        None => false,
-                    },
-                    None => true,
-                };
-                // Durable-ack mode: the group fsync covers exactly the
-                // events that have drained out of the reorder buffer —
-                // vote every held part whose events all have. Parts
-                // still (partly) in the buffer stay held until a later
-                // batch advances this shard's watermark past them. On
-                // append failure, report instead of lying about
-                // durability.
-                if committed {
-                    pending.extend(acks);
-                    let sync = sync_target(&sync_tx, id, durability.as_ref());
-                    release_covered(&mut pending, &engine, &ack_table, &obs, sync.as_ref());
-                } else {
-                    for p in pending.drain(..).chain(acks) {
-                        ack_table.vote(&p.frame, false);
-                    }
-                }
-                obs.held_acks.store(pending.len() as u64, Ordering::Relaxed);
-                obs.observe_queue_depth(rx.len() as u64);
-                obs.state_facts
-                    .store(engine.store().open_fact_count() as u64, Ordering::Relaxed);
-                if let Some(ms) = slow_ms {
-                    let done = Instant::now();
-                    let total_us = done.saturating_duration_since(dequeued).as_micros() as u64;
-                    if total_us >= ms.saturating_mul(1000) {
-                        let mut o = Map::new();
-                        o.insert("slow_op".into(), Json::from("ingest"));
-                        o.insert("shard".into(), Json::from(id));
-                        o.insert("events".into(), Json::from(n));
-                        o.insert("late".into(), Json::from(late));
-                        o.insert(
-                            "apply_us".into(),
-                            Json::from(
-                                applied.saturating_duration_since(dequeued).as_micros() as u64
-                            ),
-                        );
-                        o.insert(
-                            "commit_us".into(),
-                            Json::from(done.saturating_duration_since(applied).as_micros() as u64),
-                        );
-                        o.insert("total_us".into(), Json::from(total_us));
-                        o.insert("held_acks".into(), Json::from(pending.len() as u64));
-                        eprintln!("{}", Json::Object(o));
-                    }
-                }
-                poll = n > late;
-            }
-            ShardCmd::Query { plan, reply } => {
-                let _ = reply.send(
-                    plan.physical
-                        .partial(&engine.store(), QueryOptions::default()),
-                );
+            } => poll = s.ingest(evs, acks, enqueued),
+            ShardCmd::Query { plans, reply } => {
+                let _ = reply.send(s.answer(&plans));
             }
             ShardCmd::Watch { name, plan, sink } => {
-                watches.push((Watch::from_plan(name.as_str(), plan), sink));
+                s.watches
+                    .push((Watch::from_plan(name.as_str(), plan), sink));
                 // Poll so the new watch delivers its initial rows.
                 poll = true;
             }
@@ -1318,38 +1209,38 @@ fn shard_loop(ctx: ShardCtx) {
                 let _ = done.send(());
             }
             ShardCmd::Snapshot => {
-                if is_following() {
+                if s.is_following() {
                     // A follower's snapshots/rotations are driven by the
                     // leader's `Rotate` frames; a locally-initiated
                     // checkpoint would fork the generation lineage.
                 } else {
-                    match durability.as_mut() {
+                    match s.durability.as_mut() {
                         Some(d) => {
-                            if d.checkpoint(&mut engine) {
-                                let sync = sync_target(&sync_tx, id, Some(&*d));
+                            if d.checkpoint(&mut s.engine) {
+                                let sync = sync_target(&s.sync_tx, s.id, Some(&*d));
                                 release_covered(
-                                    &mut pending,
-                                    &engine,
-                                    &ack_table,
-                                    &obs,
+                                    &mut s.pending,
+                                    &s.engine,
+                                    &s.ack_table,
+                                    &s.obs,
                                     sync.as_ref(),
                                 );
                             } else {
-                                for p in pending.drain(..) {
-                                    ack_table.vote(&p.frame, false);
+                                for p in s.pending.drain(..) {
+                                    s.ack_table.vote(&p.frame, false);
                                 }
                             }
                         }
-                        None => snapshot(&engine, &snapshot_path, id, shards_total),
+                        None => snapshot(&s.engine, &s.snapshot_path, s.id, s.shards_total),
                     }
                 }
             }
             ShardCmd::Gc => {
-                if let Some(horizon) = gc_horizon {
-                    if !is_following() && last_ts > horizon.as_millis() {
-                        let removed = engine.gc(Timestamp::new(last_ts - horizon.as_millis()));
+                if let Some(horizon) = s.gc_horizon {
+                    if !s.is_following() && s.last_ts > horizon.as_millis() {
+                        let removed = s.engine.gc(Timestamp::new(s.last_ts - horizon.as_millis()));
                         if removed > 0 {
-                            metrics
+                            s.metrics
                                 .gc_removed
                                 .fetch_add(removed as u64, Ordering::Relaxed);
                         }
@@ -1362,28 +1253,35 @@ fn shard_loop(ctx: ShardCtx) {
                 bytes,
                 reply,
             } => {
-                let res = replica_apply(&mut engine, durability.as_mut(), gen, offset, &bytes);
+                let res = replica_apply(&mut s.engine, s.durability.as_mut(), gen, offset, &bytes);
                 if matches!(&res, Ok((_, _, ops, _)) if *ops > 0) {
                     poll = true;
-                    obs.state_facts
-                        .store(engine.store().open_fact_count() as u64, Ordering::Relaxed);
+                    s.obs
+                        .state_facts
+                        .store(s.engine.store().open_fact_count() as u64, Ordering::Relaxed);
                 }
                 let _ = reply.send(res);
             }
             ShardCmd::ReplicaBootstrap { gen, bytes, reply } => {
-                let res = replica_bootstrap(&mut engine, durability.as_mut(), gen, &bytes);
+                let res = replica_bootstrap(&mut s.engine, s.durability.as_mut(), gen, &bytes);
                 if res.is_ok() {
                     poll = true;
-                    obs.state_facts
-                        .store(engine.store().open_fact_count() as u64, Ordering::Relaxed);
+                    s.obs
+                        .state_facts
+                        .store(s.engine.store().open_fact_count() as u64, Ordering::Relaxed);
                 }
                 let _ = reply.send(res);
             }
             ShardCmd::ReplicaRotate { new_gen, reply } => {
-                let _ = reply.send(replica_rotate(&mut engine, durability.as_mut(), new_gen));
+                let _ = reply.send(replica_rotate(
+                    &mut s.engine,
+                    s.durability.as_mut(),
+                    new_gen,
+                ));
             }
             ShardCmd::ReplicaPosition { reply } => {
-                let pos = durability
+                let pos = s
+                    .durability
                     .as_ref()
                     .map_or((0, 0), |d| (d.gen, d.writer.segment_len()));
                 let _ = reply.send(pos);
@@ -1393,36 +1291,42 @@ fn shard_loop(ctx: ShardCtx) {
                 // has already been applied. Flush and persist —
                 // `finish` drains the reorder buffer, so every still-
                 // held ack part is coverable by the final checkpoint.
-                engine.finish();
-                let committed = if is_following() {
+                s.engine.finish();
+                let committed = if s.is_following() {
                     // Mirror discipline holds through shutdown: sync the
                     // shipped bytes, but take no checkpoint — a snapshot
                     // stamped mid-segment would double-replay the
                     // shipped frames (they recover from offset 0).
-                    let _ = engine.take_journal();
-                    match durability.as_mut() {
+                    let _ = s.engine.take_journal();
+                    match s.durability.as_mut() {
                         Some(d) => d.writer.sync().is_ok(),
                         None => true,
                     }
                 } else {
-                    match durability.as_mut() {
-                        Some(d) => d.checkpoint(&mut engine),
+                    match s.durability.as_mut() {
+                        Some(d) => d.checkpoint(&mut s.engine),
                         None => {
-                            snapshot(&engine, &snapshot_path, id, shards_total);
+                            snapshot(&s.engine, &s.snapshot_path, s.id, s.shards_total);
                             true
                         }
                     }
                 };
                 if committed {
-                    let sync = sync_target(&sync_tx, id, durability.as_ref());
-                    release_covered(&mut pending, &engine, &ack_table, &obs, sync.as_ref());
+                    let sync = sync_target(&s.sync_tx, s.id, s.durability.as_ref());
+                    release_covered(
+                        &mut s.pending,
+                        &s.engine,
+                        &s.ack_table,
+                        &s.obs,
+                        sync.as_ref(),
+                    );
                 }
-                obs.held_acks.store(0, Ordering::Relaxed);
+                s.obs.held_acks.store(0, Ordering::Relaxed);
                 // After `finish` the buffer is empty, so a successful
                 // checkpoint covered everything; anything left (only on
                 // failure) is voted down — no ack is left hanging.
-                for p in pending.drain(..) {
-                    ack_table.vote(&p.frame, false);
+                for p in s.pending.drain(..) {
+                    s.ack_table.vote(&p.frame, false);
                 }
                 // finish() may have drained buffered events into state.
                 poll = true;
@@ -1430,22 +1334,187 @@ fn shard_loop(ctx: ShardCtx) {
                 let _ = done.send(());
             }
         }
-        // Push view updates for whatever the command changed; drop
-        // watches whose connection has gone away. Skipped entirely when
-        // no state-mutating command ran since the last poll.
-        if poll && !watches.is_empty() {
-            let store = engine.store();
-            // Watches of one statement share one evaluation per pass.
-            let mut pass = PollPass::with_capacity(watches.len());
-            watches.retain_mut(|(w, sink)| {
-                w.poll_in(&mut pass, &store)
-                    .iter()
-                    .all(|d| sink.send(proto::delta_line(d, Some(&store))).is_ok())
-            });
+        // Push view updates for whatever the command changed. Skipped
+        // entirely when no state-mutating command ran since the last
+        // poll.
+        if poll {
+            s.poll_watches();
         }
         if quit {
             break;
         }
+    }
+}
+
+impl ShardCtx {
+    fn is_following(&self) -> bool {
+        self.repl.as_ref().is_some_and(|r| r.is_following())
+    }
+
+    /// Apply one ingest part and whatever ingest queued behind it, up
+    /// to `batch_max` events, as one group commit: one engine pass, ONE
+    /// WAL frame, one fsync, instead of one per part. Returns whether
+    /// any event reached the state (the watches need a poll).
+    fn ingest(&mut self, evs: Vec<Event>, acks: Vec<AckPart>, enqueued: Instant) -> bool {
+        let dequeued = Instant::now();
+        let wait_us = |enqueued: Instant| dequeued.saturating_duration_since(enqueued).as_micros();
+        self.obs.queue_wait_us.record(wait_us(enqueued) as u64);
+        let mut batch = evs;
+        let mut acks: VecDeque<AckPart> = acks.into_iter().collect();
+        while batch.len() < self.batch_max {
+            match self.rx.try_recv() {
+                Ok(ShardCmd::Ingest {
+                    evs,
+                    acks: more,
+                    enqueued,
+                }) => {
+                    self.obs.queue_wait_us.record(wait_us(enqueued) as u64);
+                    batch.extend(evs);
+                    acks.extend(more);
+                }
+                Ok(other) => {
+                    self.deferred = Some(other);
+                    break;
+                }
+                Err(_) => break,
+            }
+        }
+        let n = batch.len() as u64;
+        self.last_ts = self
+            .last_ts
+            .max(batch.iter().map(|e| e.ts.millis()).max().unwrap_or(0));
+        let late = self.engine.push_batch(batch);
+        let applied = Instant::now();
+        if late > 0 {
+            // Deferred or not, the ack means "accepted", not
+            // "applied": events beyond the lateness bound are
+            // discarded and become visible here.
+            self.metrics.late_dropped.fetch_add(late, Ordering::Relaxed);
+        }
+        if n > 0 {
+            self.metrics.observe_ingest_batch(n);
+        }
+        let committed = match self.durability.as_mut() {
+            Some(d) => match d.drain(&mut self.engine) {
+                Some(ops) => {
+                    if ops > 0 && n > 1 {
+                        self.metrics.group_commits.fetch_add(1, Ordering::Relaxed);
+                    }
+                    true
+                }
+                None => false,
+            },
+            None => true,
+        };
+        // Durable-ack mode: the group fsync covers exactly the events
+        // that have drained out of the reorder buffer — vote every held
+        // part whose events all have. Parts still (partly) in the
+        // buffer stay held until a later batch advances this shard's
+        // watermark past them. On append failure, report instead of
+        // lying about durability.
+        if committed {
+            self.pending.extend(acks);
+            let sync = sync_target(&self.sync_tx, self.id, self.durability.as_ref());
+            release_covered(
+                &mut self.pending,
+                &self.engine,
+                &self.ack_table,
+                &self.obs,
+                sync.as_ref(),
+            );
+        } else {
+            for p in self.pending.drain(..).chain(acks) {
+                self.ack_table.vote(&p.frame, false);
+            }
+        }
+        self.obs
+            .held_acks
+            .store(self.pending.len() as u64, Ordering::Relaxed);
+        self.obs.observe_queue_depth(self.rx.len() as u64);
+        self.obs.state_facts.store(
+            self.engine.store().open_fact_count() as u64,
+            Ordering::Relaxed,
+        );
+        if let Some(ms) = self.slow_ms {
+            let done = Instant::now();
+            let total_us = done.saturating_duration_since(dequeued).as_micros() as u64;
+            if total_us >= ms.saturating_mul(1000) {
+                let mut o = Map::new();
+                o.insert("slow_op".into(), Json::from("ingest"));
+                o.insert("shard".into(), Json::from(self.id));
+                o.insert("events".into(), Json::from(n));
+                o.insert("late".into(), Json::from(late));
+                o.insert(
+                    "apply_us".into(),
+                    Json::from(applied.saturating_duration_since(dequeued).as_micros() as u64),
+                );
+                o.insert(
+                    "commit_us".into(),
+                    Json::from(done.saturating_duration_since(applied).as_micros() as u64),
+                );
+                o.insert("total_us".into(), Json::from(total_us));
+                o.insert("held_acks".into(), Json::from(self.pending.len() as u64));
+                eprintln!("{}", Json::Object(o));
+            }
+        }
+        n > late
+    }
+
+    /// This shard's part of each plan of a query burst, in order.
+    /// Between two plans, ingest queued meanwhile is applied and its
+    /// watch deltas go out, so an event waits for one plan, never for
+    /// a whole burst, and each plan still sees every event admitted
+    /// before its burst. Any other command ends the look-ahead and
+    /// runs after the burst, in its queue place.
+    fn answer(&mut self, plans: &[Arc<CachedPlan>]) -> Vec<Result<PlanPart>> {
+        let mut parts = Vec::with_capacity(plans.len());
+        for (i, plan) in plans.iter().enumerate() {
+            if i > 0 {
+                // A burst keeps this thread busy for many plans in a
+                // row, and the scheduler would let it finish its time
+                // slice before running a thread that ingest has just
+                // woken (a connection reader or writer). Yielding here
+                // lets such a thread run first; its event may then be
+                // applied right below.
+                thread::yield_now();
+            }
+            if i > 0 && self.deferred.is_none() {
+                match self.rx.try_recv() {
+                    Ok(ShardCmd::Ingest {
+                        evs,
+                        acks,
+                        enqueued,
+                    }) => {
+                        if self.ingest(evs, acks, enqueued) {
+                            self.poll_watches();
+                        }
+                    }
+                    Ok(other) => self.deferred = Some(other),
+                    Err(_) => {}
+                }
+            }
+            parts.push(
+                plan.physical
+                    .partial(&self.engine.store(), QueryOptions::default()),
+            );
+        }
+        parts
+    }
+
+    /// Push every watch's deltas since its last poll; drop watches
+    /// whose connection has gone away.
+    fn poll_watches(&mut self) {
+        if self.watches.is_empty() {
+            return;
+        }
+        let store = self.engine.store();
+        // Watches of one statement share one evaluation per pass.
+        let mut pass = PollPass::with_capacity(self.watches.len());
+        self.watches.retain_mut(|(w, sink)| {
+            w.poll_in(&mut pass, &store)
+                .iter()
+                .all(|d| sink.send(proto::delta_line(d, Some(&store))).is_ok())
+        });
     }
 }
 
@@ -2188,9 +2257,10 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: Arc<ConnCtx>, conn_id: u64, pr
     // commit releasing dozens of acks at once) that is one syscall
     // pair instead of one per line.
     let (mut out_tx, out_rx) = channel::unbounded::<String>();
-    let writer = {
-        let metrics = ctx.metrics.clone();
-        thread::spawn(move || {
+    let metrics = ctx.metrics.clone();
+    let Ok(writer) = thread::Builder::new()
+        .name(WRITER_THREAD.into())
+        .spawn(move || {
             let mut w = BufWriter::new(write_half);
             let mut batch = String::new();
             while let Ok(first) = out_rx.recv() {
@@ -2216,58 +2286,33 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: Arc<ConnCtx>, conn_id: u64, pr
                     break;
                 }
             }
+            metrics.retired_cpu.retire_current_thread();
         })
+    else {
+        return;
     };
 
     let mut reader = BufReader::new(std::io::Cursor::new(prefix).chain(stream));
     let mut raw = Vec::new();
     let mut seq = 0u64;
     let mut stage = Stage::new(ctx.shard_txs.len());
+    // A line read while gathering a query burst that is not a query
+    // itself: it ends the burst and is handled once the burst is
+    // answered.
+    let mut held: Option<Line> = None;
     loop {
-        let line = match read_line_capped(&mut reader, &mut raw, ctx.max_frame_bytes) {
-            Ok(LineRead::Eof) => break,
-            Ok(LineRead::TooLong) => {
-                let _ = out_tx.send(proto::error(&format!(
-                    "frame too large: line exceeds max-frame-bytes {}; line discarded",
-                    ctx.max_frame_bytes
-                )));
-                continue;
-            }
-            Ok(LineRead::Line) => match std::str::from_utf8(&raw) {
-                Ok(s) => s,
-                Err(_) => break,
-            },
-            Err(_) => break,
-        };
-        ctx.metrics
-            .bytes_in
-            .fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let req = match proto::parse_request(line) {
-            Ok(r) => r,
-            Err(e) => {
-                // Unknown `cmd`/`op` values get the structured reply
-                // (error + `supported` list); everything else the
-                // plain error line.
-                let reply =
-                    proto::unknown_reply(line).unwrap_or_else(|| proto::error(&e.to_string()));
+        let req = match held
+            .take()
+            .unwrap_or_else(|| next_line(&ctx, &mut reader, &mut raw))
+        {
+            Line::Closed => break,
+            Line::Blank => continue,
+            Line::Reply(reply) => {
                 let _ = out_tx.send(reply);
                 continue;
             }
+            Line::Request(req) => req,
         };
-        // A follower is read-only: ingest is redirected to the leader
-        // (queries, watches, and stats all serve locally). Checked per
-        // line, not per connection — the answer flips at promotion.
-        if matches!(req, Request::Event(_) | Request::Batch(_)) {
-            if let Some(r) = ctx.repl.as_ref().filter(|r| r.is_following()) {
-                let leader = r.leader.as_deref().unwrap_or("");
-                let _ = out_tx.send(redirect_line(leader).trim_end().to_string());
-                continue;
-            }
-        }
         match req {
             Request::Event(ev) => {
                 seq += 1;
@@ -2282,17 +2327,36 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: Arc<ConnCtx>, conn_id: u64, pr
                 }
             }
             Request::Query { text } => {
-                ctx.metrics.queries.fetch_add(1, Ordering::Relaxed);
-                handle_query(&ctx, &out_tx, &text);
+                // Every further complete query line already buffered
+                // joins this burst; reading stops at the first other
+                // line or at a partial one, so it never waits for the
+                // client.
+                let mut burst = vec![text];
+                while reader.buffer().contains(&b'\n') {
+                    match next_line(&ctx, &mut reader, &mut raw) {
+                        Line::Request(Request::Query { text }) => burst.push(text),
+                        Line::Blank => {}
+                        other => {
+                            held = Some(other);
+                            break;
+                        }
+                    }
+                }
+                ctx.metrics
+                    .queries
+                    .fetch_add(burst.len() as u64, Ordering::Relaxed);
+                answer_burst(&ctx, &out_tx, &burst);
             }
             Request::Stats => {
                 // Lock-light: built here, on the connection thread,
-                // from published atomics. No shard round-trip — a
-                // stats poller can never slow or stall ingest.
+                // from published atomics and this process's `/proc`
+                // entries. No shard round-trip — a stats poller can
+                // never slow or stall ingest.
                 let _ = out_tx.send(build_stats(
                     &ctx.metrics,
                     &ctx.obs,
                     &ctx.plans.stats(),
+                    &RoleCpu::read(&ctx.metrics.retired_cpu),
                     ctx.repl.is_some(),
                 ));
             }
@@ -2368,6 +2432,65 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: Arc<ConnCtx>, conn_id: u64, pr
     }
     drop(out_tx);
     let _ = writer.join();
+    ctx.metrics.retired_cpu.retire_current_thread();
+}
+
+/// What one JSONL line asks of its connection.
+enum Line {
+    /// The connection is over: end of stream, a read error, or bytes
+    /// that are not UTF-8.
+    Closed,
+    /// An empty line, ignored.
+    Blank,
+    /// A line answered on the spot: an oversize or undecodable line,
+    /// or ingest that a follower redirects to its leader.
+    Reply(String),
+    Request(Request),
+}
+
+/// Read and decode the connection's next line. Blocks only when no
+/// complete line is buffered.
+fn next_line<R: BufRead>(ctx: &ConnCtx, reader: &mut R, raw: &mut Vec<u8>) -> Line {
+    let line = match read_line_capped(reader, raw, ctx.max_frame_bytes) {
+        Ok(LineRead::Eof) | Err(_) => return Line::Closed,
+        Ok(LineRead::TooLong) => {
+            return Line::Reply(proto::error(&format!(
+                "frame too large: line exceeds max-frame-bytes {}; line discarded",
+                ctx.max_frame_bytes
+            )))
+        }
+        Ok(LineRead::Line) => match std::str::from_utf8(raw) {
+            Ok(s) => s,
+            Err(_) => return Line::Closed,
+        },
+    };
+    ctx.metrics
+        .bytes_in
+        .fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
+    let line = line.trim();
+    if line.is_empty() {
+        return Line::Blank;
+    }
+    let req = match proto::parse_request(line) {
+        Ok(r) => r,
+        // Unknown `cmd`/`op` values get the structured reply (error +
+        // `supported` list); everything else the plain error line.
+        Err(e) => {
+            return Line::Reply(
+                proto::unknown_reply(line).unwrap_or_else(|| proto::error(&e.to_string())),
+            )
+        }
+    };
+    // A follower is read-only: ingest is redirected to the leader
+    // (queries, watches, and stats all serve locally). Checked per
+    // line, not per connection — the answer flips at promotion.
+    if matches!(req, Request::Event(_) | Request::Batch(_)) {
+        if let Some(r) = ctx.repl.as_ref().filter(|r| r.is_following()) {
+            let leader = r.leader.as_deref().unwrap_or("");
+            return Line::Reply(redirect_line(leader).trim_end().to_string());
+        }
+    }
+    Line::Request(req)
 }
 
 /// Admit one JSONL ingest frame ending at `seq` (`single`: a plain
@@ -2439,49 +2562,86 @@ fn compile_cached(ctx: &ConnCtx, text: &str) -> Result<Arc<CachedPlan>> {
     Ok(plan)
 }
 
-/// One `query` request end to end: strip the `EXPLAIN` prefix, compile
-/// through the shared plan cache (the cache key is the inner
-/// statement, so explaining a query warms its plan), then either
-/// render the plan trees or execute the plan through [`dispatch_plan`].
-fn handle_query(ctx: &ConnCtx, out_tx: &Sender<String>, text: &str) {
-    let (explain, stmt) = fenestra_query::strip_explain(text);
-    let plan = match compile_cached(ctx, stmt) {
-        Ok(plan) => plan,
-        Err(e) => {
-            let _ = out_tx.send(proto::error(&e.to_string()));
-            return;
+/// One burst of `query` lines, answered in request order in one
+/// message to the writer. Each statement loses its `EXPLAIN` prefix
+/// and compiles through the shared plan cache (the key is the inner
+/// statement, so explaining a query warms its plan). Compile errors
+/// and plan trees are answered here; every plan to execute goes to
+/// the shards together, through [`dispatch_plans`].
+fn answer_burst(ctx: &ConnCtx, out_tx: &Sender<String>, texts: &[String]) {
+    let mut replies: Vec<Option<String>> = Vec::with_capacity(texts.len());
+    let mut plans = Vec::new();
+    for text in texts {
+        let (explain, stmt) = fenestra_query::strip_explain(text);
+        replies.push(match compile_cached(ctx, stmt) {
+            Err(e) => Some(proto::error(&e.to_string())),
+            Ok(plan) if explain => {
+                let (logical, physical) =
+                    fenestra_query::render_explain(&plan, ctx.shard_txs.len());
+                Some(proto::explain_reply(
+                    plan.dialect,
+                    &logical,
+                    &physical,
+                    &plan.rules,
+                ))
+            }
+            Ok(plan) => {
+                plans.push(plan);
+                None
+            }
+        });
+    }
+    if !plans.is_empty() {
+        let mut answers = dispatch_plans(ctx, plans).into_iter();
+        for reply in replies.iter_mut().filter(|r| r.is_none()) {
+            *reply = answers.next();
         }
-    };
-    let line = if explain {
-        let (logical, physical) = fenestra_query::render_explain(&plan, ctx.shard_txs.len());
-        proto::explain_reply(plan.dialect, &logical, &physical, &plan.rules)
-    } else {
-        let t0 = Instant::now();
-        let line = dispatch_plan(ctx, &plan);
-        ctx.obs.plan.exec_us.record(t0.elapsed().as_micros() as u64);
-        line
-    };
-    let _ = out_tx.send(line);
+    }
+    let lines: Vec<String> = replies.into_iter().flatten().collect();
+    let _ = out_tx.send(lines.join("\n"));
 }
 
-/// Execute a compiled plan and build the reply line: every shard
-/// computes its [`PlanPart`] and this thread merges them, for every
-/// shard count, so the reply does not depend on the count.
-fn dispatch_plan(ctx: &ConnCtx, plan: &Arc<CachedPlan>) -> String {
-    let Some(parts) = fan_out(&ctx.shard_txs, |reply| ShardCmd::Query {
-        plan: plan.clone(),
+/// Execute a burst's plans and build their reply lines, in order: each
+/// shard gets all of them in one [`ShardCmd::Query`] and returns its
+/// [`PlanPart`] of each, and this thread merges them plan by plan, for
+/// every shard count, so a reply does not depend on the count.
+fn dispatch_plans(ctx: &ConnCtx, plans: Vec<Arc<CachedPlan>>) -> Vec<String> {
+    let plans: Arc<[Arc<CachedPlan>]> = plans.into();
+    let t0 = Instant::now();
+    let Some(shards) = fan_out(&ctx.shard_txs, |reply| ShardCmd::Query {
+        plans: plans.clone(),
         reply,
     }) else {
-        return proto::error("server shutting down");
+        return vec![proto::error("server shutting down"); plans.len()];
     };
-    match parts
-        .into_iter()
-        .collect::<Result<Vec<_>>>()
-        .and_then(|parts| plan.physical.merge(parts))
-    {
-        Ok(res) => proto::query_reply(&res, None),
-        Err(e) => proto::error(&e.to_string()),
-    }
+    let mut shards: Vec<_> = shards.into_iter().map(Vec::into_iter).collect();
+    plans
+        .iter()
+        .enumerate()
+        .map(|(i, plan)| {
+            if i > 0 {
+                // As between a shard's plans: let a thread woken by
+                // ingest run before the rest of the burst's merges.
+                thread::yield_now();
+            }
+            // Take this plan's part from every shard before looking at
+            // any, so the shards' lists stay in step.
+            let parts: Vec<Result<PlanPart>> = shards
+                .iter_mut()
+                .map(|parts| parts.next().expect("a shard answers every plan"))
+                .collect();
+            let line = match parts
+                .into_iter()
+                .collect::<Result<Vec<_>>>()
+                .and_then(|parts| plan.physical.merge(parts))
+            {
+                Ok(res) => proto::query_reply(&res, None),
+                Err(e) => proto::error(&e.to_string()),
+            };
+            ctx.obs.plan.exec_us.record(t0.elapsed().as_micros() as u64);
+            line
+        })
+        .collect()
 }
 
 /// Build the `stats` reply from published atomics only — engine
@@ -2493,6 +2653,7 @@ pub(crate) fn build_stats(
     metrics: &ServerMetrics,
     obs: &PipelineObs,
     plans: &CacheStats,
+    cpu: &RoleCpu,
     repl: bool,
 ) -> String {
     let mut merged = EngineMetrics::default();
@@ -2523,6 +2684,7 @@ pub(crate) fn build_stats(
     obj.insert("stages".into(), obs.merged_stages().json());
     obj.insert("plans".into(), Json::Object(plan_obj));
     obj.insert("shards".into(), Json::Array(per_shard));
+    obj.insert("cpu".into(), role_cpu(cpu).json());
     // Present only when replication is configured, so a plain server's
     // stats schema is unchanged.
     if repl {
@@ -2598,7 +2760,8 @@ fn serve_metrics_conn(
     let path = parts.next().unwrap_or("");
     let mut w = BufWriter::new(stream);
     if method == "GET" && path.trim_end_matches('/') == "/metrics" {
-        let body = crate::prom::render_prometheus(metrics, obs, plans);
+        let cpu = RoleCpu::read(&metrics.retired_cpu);
+        let body = crate::prom::render_prometheus(metrics, obs, plans, &cpu);
         let _ = write!(
             w,
             "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",

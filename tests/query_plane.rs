@@ -456,3 +456,76 @@ fn watches_of_one_statement_share_an_evaluation_not_their_deltas() {
     }
     handle.shutdown();
 }
+
+/// Query lines that arrive together are answered together, as one
+/// burst, but each reply is the one that line gets on its own, in
+/// request order, whatever the shard count: point, occupancy, `AS OF`,
+/// history, window and `EXPLAIN` statements, and one that does not
+/// compile.
+#[test]
+fn a_burst_answers_each_line_as_if_sent_alone() {
+    let burst = [
+        r#"{"cmd":"query","q":"select ?r where { \"a3\" room ?r }"}"#,
+        r#"{"cmd":"query","q":"select ?v where { ?v room \"lab\" } limit 3"}"#,
+        r#"{"cmd":"query","q":"select ?r where { \"b1\" room ?r } asof 1003"}"#,
+        r#"{"cmd":"query","q":"history a3 self_of"}"#,
+        r#"{"cmd":"query","q":"select ?v where { ?v room ?r"}"#,
+        r#"{"cmd":"query","sql":"SELECT window_start, room, count(*) AS n FROM state GROUP BY room, sliding(4, 2) DURING 0 TO 1010"}"#,
+        r#"{"cmd":"query","sql":"EXPLAIN SELECT entity FROM state WHERE room = \"lab\" LIMIT 2"}"#,
+        r#"{"cmd":"query","q":"select count ?v where { ?v room ?r }"}"#,
+    ];
+    for shards in [1, 2, 4] {
+        let mut handle = populated_server(shards);
+        let mut alone = Client::connect(handle.local_addr());
+        let want: Vec<String> = burst.iter().map(|q| alone.call_raw(q)).collect();
+        assert!(
+            want[4].starts_with(r#"{"ok":false"#),
+            "the malformed statement fails: {}",
+            want[4]
+        );
+        let mut together = Client::connect(handle.local_addr());
+        together.send(&burst.join("\n"));
+        for (q, want) in burst.iter().zip(&want) {
+            let got = together.lines.next().expect("reply").expect("read");
+            assert_eq!(&got, want, "{shards} shards: {q}");
+        }
+        handle.shutdown();
+    }
+}
+
+/// Within a connection, a line that is not a query waits for the
+/// burst before it: a query sent ahead of an event in the same write
+/// does not see it, and one sent after does.
+#[test]
+fn an_event_between_queries_splits_the_burst() {
+    for shards in [1, 2] {
+        let mut handle = populated_server(shards);
+        let mut c = Client::connect(handle.local_addr());
+        let lab = r#"{"cmd":"query","q":"select ?v where { ?v room \"lab\" }"}"#;
+        let event = r#"{"stream":"sensors","ts":5000000,"visitor":"zed","room":"lab"}"#;
+        c.send(&[lab, event, lab].join("\n"));
+        let in_lab = |v: &Json| -> Vec<String> {
+            v.get("rows")
+                .and_then(Json::as_array)
+                .unwrap_or_else(|| panic!("{v}"))
+                .iter()
+                .map(|r| r.get("v").and_then(Json::as_str).unwrap().to_string())
+                .collect()
+        };
+        let before = c.recv();
+        assert_eq!(
+            in_lab(&before),
+            ["a0", "a1", "a2", "a3", "a4"],
+            "{shards} shards"
+        );
+        let ack = c.recv();
+        assert_eq!(ack.get("seq").and_then(Json::as_u64), Some(1), "{ack}");
+        let after = c.recv();
+        assert_eq!(
+            in_lab(&after),
+            ["a0", "a1", "a2", "a3", "a4", "zed"],
+            "{shards} shards"
+        );
+        handle.shutdown();
+    }
+}

@@ -1206,3 +1206,73 @@ fn event_delta_query_round_is_not_held_by_nagle() {
     );
     handle.shutdown();
 }
+
+/// Ingest overtakes queued query work: while one connection's burst
+/// of window queries holds the only shard, an event sent on another
+/// connection is applied between two of the burst's plans, so its
+/// watch delta arrives well before the burst's last reply.
+#[test]
+fn ingest_is_not_held_behind_a_query_burst() {
+    const BURST: usize = 60;
+    let mut handle = Server::start(ServerConfig::new("127.0.0.1:0").setup(rule_setup)).unwrap();
+    let addr = handle.local_addr();
+    let window = r#"{"cmd":"query","sql":"SELECT room, count(*) AS n FROM state GROUP BY room, tumbling(100000000)"}"#;
+    let mut queries = Client::connect(addr);
+    // History for the window to scan: 40 visitors moving between 7
+    // rooms, grown until one query takes 5 ms, so that the burst (60
+    // lines, about 7 KiB, which the server reads at once) holds the
+    // shard for at least 300 ms.
+    let mut loader = Client::connect(addr);
+    let mut ts = 0u64;
+    for _ in 0..100 {
+        for _ in 0..50 {
+            let evs: Vec<String> = (0..400u64)
+                .map(|i| {
+                    ts += 1;
+                    format!(
+                        r#"{{"stream":"sensors","ts":{ts},"visitor":"v{}","room":"r{}"}}"#,
+                        i % 40,
+                        ts % 7
+                    )
+                })
+                .collect();
+            let v = loader.call(&format!(
+                r#"{{"op":"ingest","events":[{}]}}"#,
+                evs.join(",")
+            ));
+            assert!(ok(&v), "{v}");
+        }
+        assert!(ok(&queries.call(window)));
+        let t = std::time::Instant::now();
+        assert!(ok(&queries.call(window)));
+        if t.elapsed() >= std::time::Duration::from_millis(5) {
+            break;
+        }
+    }
+    let mut watcher = Client::connect(addr);
+    let v =
+        watcher.call(r#"{"cmd":"watch","name":"lab","q":"select ?v where { ?v room \"lab\" }"}"#);
+    assert_eq!(v.get("watch").and_then(Json::as_str), Some("lab"), "{v}");
+    let mut writer = Client::connect(addr);
+
+    let t0 = std::time::Instant::now();
+    queries.send(&vec![window; BURST].join("\n"));
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    writer.send(&event(ts + 1, "late", "lab"));
+    let delta = watcher.recv();
+    let delta_at = t0.elapsed();
+    assert_eq!(delta.get("sign").and_then(Json::as_i64), Some(1), "{delta}");
+    for _ in 0..BURST {
+        assert!(ok(&queries.recv()));
+    }
+    let last_at = t0.elapsed();
+    assert!(
+        last_at >= std::time::Duration::from_millis(200),
+        "the burst held the shard for only {last_at:?}"
+    );
+    assert!(
+        delta_at * 2 < last_at,
+        "the delta came at {delta_at:?}, the burst's last reply at {last_at:?}"
+    );
+    handle.shutdown();
+}
