@@ -36,7 +36,8 @@ pub fn execute_with(store: &TemporalStore, q: &Query, opts: QueryOptions) -> Res
 /// Execute a query whose rows the caller reads as a set, as a watch
 /// does: the rows [`execute_with`] returns, but with entity ids in id
 /// order. Name order only decides which rows a `limit` keeps, so it is
-/// paid for only under one.
+/// paid for only under one: a watch poll, run after every ingested
+/// batch, skips the sort.
 pub fn execute_set(store: &TemporalStore, q: &Query, opts: QueryOptions) -> Result<Vec<Bindings>> {
     let rows = select_rows(store, q, opts)?;
     let rows = match q.limit {

@@ -1018,24 +1018,10 @@ impl CachedPlan {
 
     /// Execute against one store.
     pub fn execute(&self, store: &TemporalStore, opts: QueryOptions) -> Result<PlanOutput> {
-        self.run(store, opts, crate::exec::execute_with)
-    }
-
-    /// [`CachedPlan::execute`] for a caller that reads the rows as a
-    /// set (a watch): the same rows, not in name order
-    /// ([`crate::exec::execute_set`]).
-    pub fn execute_set(&self, store: &TemporalStore, opts: QueryOptions) -> Result<PlanOutput> {
-        self.run(store, opts, crate::exec::execute_set)
-    }
-
-    fn run(
-        &self,
-        store: &TemporalStore,
-        opts: QueryOptions,
-        select: fn(&TemporalStore, &Query, QueryOptions) -> Result<Vec<Bindings>>,
-    ) -> Result<PlanOutput> {
         match &self.physical {
-            PhysicalPlan::Select { query } => Ok(PlanOutput::Rows(select(store, query, opts)?)),
+            PhysicalPlan::Select { query } => Ok(PlanOutput::Rows(crate::exec::execute_with(
+                store, query, opts,
+            )?)),
             PhysicalPlan::History { entity, attr } => {
                 let Some(e) = store.lookup_entity(*entity) else {
                     return Err(Error::Invalid(format!("unknown entity `{entity}`")));
@@ -1043,6 +1029,18 @@ impl CachedPlan {
                 Ok(PlanOutput::History(store.history(e, *attr)))
             }
             PhysicalPlan::WindowAgg(w) => Ok(PlanOutput::Rows(w.execute_local(store)?)),
+        }
+    }
+
+    /// [`CachedPlan::execute`] for a caller that reads the rows as a
+    /// set (a watch): the same rows, not in name order
+    /// ([`crate::exec::execute_set`]).
+    pub fn execute_set(&self, store: &TemporalStore, opts: QueryOptions) -> Result<PlanOutput> {
+        match &self.physical {
+            PhysicalPlan::Select { query } => Ok(PlanOutput::Rows(crate::exec::execute_set(
+                store, query, opts,
+            )?)),
+            _ => self.execute(store, opts),
         }
     }
 }

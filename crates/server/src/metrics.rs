@@ -62,8 +62,8 @@ fenestra_obs::metrics! {
             /// By `--gc-horizon-ms`, summed across shards.
             gc_removed: Counter "Closed facts reclaimed by horizon GC",
         }
-        /// CPU of the JSONL connection threads that have exited, for
-        /// the per-role split ([`crate::cpu::RoleCpu::read`]).
+        /// CPU of the server's threads that have exited, for the
+        /// per-role split ([`crate::cpu::RoleCpu::read`]).
         pub retired_cpu: RetiredCpu,
     }
 }

@@ -51,7 +51,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 // ----- raw epoll / eventfd --------------------------------------------------
@@ -299,11 +299,12 @@ pub(crate) fn start(listener: TcpListener, ctx: Arc<ConnCtx>, n: usize) -> Resul
         if let Some(l) = &r.listener {
             r.epoll.add(l.as_raw_fd(), TOKEN_LISTEN, sys::EPOLLIN);
         }
-        threads.push(
-            thread::Builder::new()
-                .name(format!("fenestra-reactor-{id}"))
-                .spawn(move || run(r))?,
-        );
+        let metrics = r.ctx.metrics.clone();
+        threads.push(crate::cpu::spawn(
+            format!("fenestra-reactor-{id}"),
+            &metrics,
+            move || run(r),
+        )?);
     }
     Ok(ReactorPool { threads })
 }
@@ -740,16 +741,15 @@ fn retry_parked(r: &mut Reactor) {
 /// ordered with respect to held acks — same as the JSONL plane, where
 /// sync replies are never watermark-held.
 fn spawn_sync(ctx: Arc<ConnCtx>, out: OutHandle) {
-    let _ = thread::Builder::new()
-        .name("fenestra-bsync".into())
-        .spawn(move || {
-            out.send(
-                match fan_out(&ctx.shard_txs, |done| ShardCmd::Sync { done }) {
-                    Some(_) => binary::encode_synced(),
-                    None => binary::encode_err(0, "server shutting down"),
-                },
-            );
-        });
+    let metrics = ctx.metrics.clone();
+    let _ = crate::cpu::spawn("fenestra-bsync", &metrics, move || {
+        out.send(
+            match fan_out(&ctx.shard_txs, |done| ShardCmd::Sync { done }) {
+                Some(_) => binary::encode_synced(),
+                None => binary::encode_err(0, "server shutting down"),
+            },
+        );
+    });
 }
 
 /// Flush, settle epoll interest, and apply the connection's fate.
@@ -847,12 +847,11 @@ fn handoff_jsonl(r: &mut Reactor, token: u64) {
     let ctx = r.ctx.clone();
     let prefix = conn.rbuf;
     let stream = conn.stream;
-    let _ = thread::Builder::new()
-        .name(crate::cpu::READER_THREAD.into())
-        .spawn(move || {
-            crate::server::handle_conn(stream, ctx.clone(), token, prefix);
-            ctx.metrics.conns_open.fetch_sub(1, Ordering::Relaxed);
-        });
+    let metrics = ctx.metrics.clone();
+    let _ = crate::cpu::spawn(crate::cpu::READER_THREAD, &metrics, move || {
+        crate::server::handle_conn(stream, ctx.clone(), token, prefix);
+        ctx.metrics.conns_open.fetch_sub(1, Ordering::Relaxed);
+    });
 }
 
 /// Shutdown: the coordinator has already failed every registered ack

@@ -658,9 +658,8 @@ impl Server {
                 table: ack_table.clone(),
                 obs: obs.clone(),
             };
-            let t = thread::Builder::new()
-                .name("fenestra-sync-gate".into())
-                .spawn(move || sync_gate_loop(gctx))?;
+            let t =
+                crate::cpu::spawn("fenestra-sync-gate", &metrics, move || sync_gate_loop(gctx))?;
             (Some(tx), Some(t))
         } else {
             (None, None)
@@ -691,11 +690,11 @@ impl Server {
                 last_ts: 0,
                 deferred: None,
             };
-            shard_threads.push(
-                thread::Builder::new()
-                    .name(format!("fenestra-shard-{i}"))
-                    .spawn(move || shard_loop(ctx))?,
-            );
+            shard_threads.push(crate::cpu::spawn(
+                format!("fenestra-shard-{i}"),
+                &metrics,
+                move || shard_loop(ctx),
+            )?);
         }
 
         let coord = Arc::new(ShutdownCoord {
@@ -738,15 +737,15 @@ impl Server {
         // ingest path.
         let metrics_thread = match metrics_listener {
             Some(l) => {
-                let metrics = metrics.clone();
+                let m = metrics.clone();
                 let obs = obs.clone();
                 let plans = plans.clone();
                 let stop = shutdown.clone();
-                Some(
-                    thread::Builder::new()
-                        .name("fenestra-metrics".into())
-                        .spawn(move || metrics_loop(l, metrics, obs, plans, stop))?,
-                )
+                Some(crate::cpu::spawn(
+                    "fenestra-metrics",
+                    &metrics,
+                    move || metrics_loop(l, m, obs, plans, stop),
+                )?)
             }
             None => None,
         };
@@ -772,26 +771,21 @@ impl Server {
                     acks: ack_tracker.clone(),
                 };
                 let stop = shutdown.clone();
-                Some(
-                    thread::Builder::new()
-                        .name("fenestra-repl".into())
-                        .spawn(move || {
-                            for stream in l.incoming() {
-                                if stop.load(Ordering::SeqCst) {
-                                    break;
-                                }
-                                let Ok(stream) = stream else { continue };
-                                let cfg = cfg.clone();
-                                let _ = thread::Builder::new().name("fenestra-ship".into()).spawn(
-                                    move || {
-                                        if let Err(e) = serve_follower(stream, cfg) {
-                                            eprintln!("fenestrad: replication session ended: {e}");
-                                        }
-                                    },
-                                );
+                let m = metrics.clone();
+                Some(crate::cpu::spawn("fenestra-repl", &metrics, move || {
+                    for stream in l.incoming() {
+                        if stop.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        let Ok(stream) = stream else { continue };
+                        let cfg = cfg.clone();
+                        let _ = crate::cpu::spawn("fenestra-ship", &m, move || {
+                            if let Err(e) = serve_follower(stream, cfg) {
+                                eprintln!("fenestrad: replication session ended: {e}");
                             }
-                        })?,
-                )
+                        });
+                    }
+                })?)
             }
             None => None,
         };
@@ -811,11 +805,9 @@ impl Server {
                     wal_base: wal_path.clone().expect("--follow requires --wal"),
                     promote_after,
                 };
-                Some(
-                    thread::Builder::new()
-                        .name("fenestra-follow".into())
-                        .spawn(move || follower_loop(rt))?,
-                )
+                Some(crate::cpu::spawn("fenestra-follow", &metrics, move || {
+                    follower_loop(rt)
+                })?)
             }
             None => None,
         };
@@ -832,22 +824,20 @@ impl Server {
             let txs = shard_txs;
             let stop = shutdown.clone();
             let gc = gc_horizon.is_some();
-            thread::Builder::new()
-                .name("fenestra-snapshot".into())
-                .spawn(move || loop {
-                    thread::sleep(std::time::Duration::from_millis(every.as_millis().max(1)));
-                    if stop.load(Ordering::SeqCst) {
-                        break;
+            crate::cpu::spawn("fenestra-snapshot", &metrics, move || loop {
+                thread::sleep(std::time::Duration::from_millis(every.as_millis().max(1)));
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                for tx in &txs {
+                    if with_snapshot && tx.send(ShardCmd::Snapshot).is_err() {
+                        return;
                     }
-                    for tx in &txs {
-                        if with_snapshot && tx.send(ShardCmd::Snapshot).is_err() {
-                            return;
-                        }
-                        if gc && tx.send(ShardCmd::Gc).is_err() {
-                            return;
-                        }
+                    if gc && tx.send(ShardCmd::Gc).is_err() {
+                        return;
                     }
-                })?;
+                }
+            })?;
         }
 
         Ok(ServerHandle {
@@ -2258,37 +2248,33 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: Arc<ConnCtx>, conn_id: u64, pr
     // pair instead of one per line.
     let (mut out_tx, out_rx) = channel::unbounded::<String>();
     let metrics = ctx.metrics.clone();
-    let Ok(writer) = thread::Builder::new()
-        .name(WRITER_THREAD.into())
-        .spawn(move || {
-            let mut w = BufWriter::new(write_half);
-            let mut batch = String::new();
-            while let Ok(first) = out_rx.recv() {
-                batch.clear();
-                batch.push_str(&first);
-                batch.push('\n');
-                while batch.len() < 1 << 20 {
-                    match out_rx.try_recv() {
-                        Ok(line) => {
-                            batch.push_str(&line);
-                            batch.push('\n');
-                        }
-                        Err(_) => break,
+    let Ok(writer) = crate::cpu::spawn(WRITER_THREAD, &ctx.metrics, move || {
+        let mut w = BufWriter::new(write_half);
+        let mut batch = String::new();
+        while let Ok(first) = out_rx.recv() {
+            batch.clear();
+            batch.push_str(&first);
+            batch.push('\n');
+            while batch.len() < 1 << 20 {
+                match out_rx.try_recv() {
+                    Ok(line) => {
+                        batch.push_str(&line);
+                        batch.push('\n');
                     }
-                }
-                metrics
-                    .bytes_out
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                if w.write_all(batch.as_bytes())
-                    .and_then(|()| w.flush())
-                    .is_err()
-                {
-                    break;
+                    Err(_) => break,
                 }
             }
-            metrics.retired_cpu.retire_current_thread();
-        })
-    else {
+            metrics
+                .bytes_out
+                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+            if w.write_all(batch.as_bytes())
+                .and_then(|()| w.flush())
+                .is_err()
+            {
+                break;
+            }
+        }
+    }) else {
         return;
     };
 
@@ -2432,7 +2418,6 @@ pub(crate) fn handle_conn(stream: TcpStream, ctx: Arc<ConnCtx>, conn_id: u64, pr
     }
     drop(out_tx);
     let _ = writer.join();
-    ctx.metrics.retired_cpu.retire_current_thread();
 }
 
 /// What one JSONL line asks of its connection.

@@ -1221,9 +1221,10 @@ fn ingest_is_not_held_behind_a_query_burst() {
     // History for the window to scan: 40 visitors moving between 7
     // rooms, grown until one query takes 5 ms, so that the burst (60
     // lines, about 7 KiB, which the server reads at once) holds the
-    // shard for at least 300 ms.
+    // shard for about 300 ms.
     let mut loader = Client::connect(addr);
     let mut ts = 0u64;
+    let mut slow_enough = false;
     for _ in 0..100 {
         for _ in 0..50 {
             let evs: Vec<String> = (0..400u64)
@@ -1246,9 +1247,14 @@ fn ingest_is_not_held_behind_a_query_burst() {
         let t = std::time::Instant::now();
         assert!(ok(&queries.call(window)));
         if t.elapsed() >= std::time::Duration::from_millis(5) {
+            slow_enough = true;
             break;
         }
     }
+    assert!(
+        slow_enough,
+        "setup failed: no window query took 5 ms after 2M events"
+    );
     let mut watcher = Client::connect(addr);
     let v =
         watcher.call(r#"{"cmd":"watch","name":"lab","q":"select ?v where { ?v room \"lab\" }"}"#);
@@ -1262,6 +1268,14 @@ fn ingest_is_not_held_behind_a_query_burst() {
     let delta = watcher.recv();
     let delta_at = t0.elapsed();
     assert_eq!(delta.get("sign").and_then(Json::as_i64), Some(1), "{delta}");
+    // The burst is answered in one write, so none of it has arrived.
+    queries.out.set_nonblocking(true).unwrap();
+    let pending = queries.out.peek(&mut [0u8; 1]);
+    queries.out.set_nonblocking(false).unwrap();
+    assert!(
+        matches!(&pending, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the burst was answered before the delta came at {delta_at:?}: {pending:?}"
+    );
     for _ in 0..BURST {
         assert!(ok(&queries.recv()));
     }
