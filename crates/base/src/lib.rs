@@ -21,10 +21,13 @@
 //! * [`expr`] — a small expression language (field refs, literals,
 //!   arithmetic, comparison, boolean logic, string ops) shared by
 //!   stream filters, state-management rules, and the query engine.
+//! * [`hash`] — a multiply-rotate hasher for maps keyed by the
+//!   program's own ids and symbols.
 //! * [`error`] — the common error type.
 
 pub mod error;
 pub mod expr;
+pub mod hash;
 pub mod parse;
 pub mod record;
 pub mod symbol;

@@ -13,12 +13,12 @@
 //! watches favor predictability — the diff semantics are trivially
 //! correct for any query the engine can run.
 
+use fenestra_base::hash::KeyMap;
 use fenestra_base::record::Record;
 use fenestra_base::symbol::Symbol;
 use fenestra_base::value::Value;
 use fenestra_query::{Bindings, CachedPlan, PlanOutput, QueryOptions};
-use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// A registered standing query: a long-lived compiled plan plus the
@@ -147,7 +147,11 @@ fn evaluate(
 /// calls, keyed by plan identity and store revision.
 #[derive(Debug, Default)]
 pub struct PollPass {
-    rows: HashMap<PassKey, Option<Arc<BTreeSet<Bindings>>>, BuildHasherDefault<KeyHasher>>,
+    /// Keyed with [`fenestra_base::hash::KeyHasher`]: the keys are the
+    /// program's own plan addresses and revision counters, and with
+    /// SipHash the pass cost about 15 % of polling 64 watches of
+    /// distinct plans.
+    rows: KeyMap<PassKey, Option<Arc<BTreeSet<Bindings>>>>,
 }
 
 type PassKey = (*const CachedPlan, u64);
@@ -156,35 +160,8 @@ impl PollPass {
     /// A pass sized for `watches` polls, so it never regrows.
     pub fn with_capacity(watches: usize) -> PollPass {
         PollPass {
-            rows: HashMap::with_capacity_and_hasher(watches, Default::default()),
+            rows: KeyMap::with_capacity_and_hasher(watches, Default::default()),
         }
-    }
-}
-
-/// Multiply-rotate hashing for [`PollPass`] keys. They are the
-/// program's own plan addresses and revision counters, never outside
-/// input, so collision resistance buys nothing; with SipHash the pass
-/// cost about 15 % of polling 64 watches of distinct plans.
-#[derive(Debug, Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
     }
 }
 

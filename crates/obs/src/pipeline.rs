@@ -186,13 +186,19 @@ crate::metrics! {
     /// (hits skip compilation entirely); executions are sampled once
     /// per executed query, from the dispatch of its burst (every query
     /// line a connection had buffered, sent to the shards together) to
-    /// its merged reply.
+    /// its merged reply. The two stages of an execution are sampled
+    /// where they run: one shard's part of a plan on that shard, the
+    /// merge and the reply line on the connection.
     pub struct PlanObs {
         fn readings in "plan" {
             compile_us: Histogram
                 "Time compiling one statement into a physical plan, recorded on cache misses (microseconds)",
             exec_us: Histogram
                 "Time from the dispatch of a query's burst to its merged reply (microseconds)",
+            partial_us: Histogram
+                "Time one shard spent on its part of one executed plan (microseconds)",
+            merge_us: Histogram
+                "Time merging one executed plan's shard parts and writing its reply line (microseconds)",
         }
     }
 }

@@ -1,11 +1,27 @@
 //! Query evaluation: greedy join ordering over the store's indexes.
+//!
+//! Patterns run most-bound first (a bound entity counts double, a
+//! bound value once), each row of the join so far extending through
+//! the narrowest index its bound terms allow:
+//!
+//! | time     | entity bound                  | entity free, value bound   | both free             |
+//! |----------|-------------------------------|----------------------------|-----------------------|
+//! | current  | the entity's open facts       | open `(attr, value)` facts | the attr's open facts |
+//! | `AS OF`  | the `(entity, attr)` timeline | the attr's timelines       | the attr's timelines  |
+//! | `DURING` | the `(entity, attr)` timeline | the attr's timelines       | the attr's timelines  |
+//!
+//! A timeline lookup binary-searches validity starts; on a disjoint
+//! timeline (every cardinality-one timeline no retroactive `replace`
+//! has overlapped) it starts at the last fact starting at or before
+//! the probe, so an `AS OF` reads one fact per timeline.
 
 use crate::ast::{Query, Term, TimeSpec, TriplePattern};
 use fenestra_base::error::{Error, Result};
 use fenestra_base::expr::{Scope, SliceScope};
 use fenestra_base::symbol::Symbol;
 use fenestra_base::value::{EntityId, Value};
-use fenestra_temporal::TemporalStore;
+use fenestra_temporal::{StoredFact, TemporalStore};
+use std::convert::Infallible;
 
 /// One result row: `(variable, value)` pairs. Entity variables bind to
 /// [`Value::Id`].
@@ -257,46 +273,37 @@ fn extend(
         true
     };
 
-    match time {
-        TimeSpec::Current => {
-            let cur = store.current();
-            if let Some(e) = e_known {
-                for f in cur.entity_facts(e) {
-                    if f.fact.attr == p.a
-                        && !(opts.exclude_derived && f.provenance.is_derived())
-                        && matches(f.fact.entity, f.fact.value)
-                    {
-                        push(f.fact.entity, f.fact.value);
-                    }
-                }
-            } else {
-                for f in cur.attr_facts(p.a) {
-                    if !(opts.exclude_derived && f.provenance.is_derived())
-                        && matches(f.fact.entity, f.fact.value)
-                    {
-                        push(f.fact.entity, f.fact.value);
-                    }
-                }
-            }
+    let mut take = |f: &StoredFact| {
+        if !(opts.exclude_derived && f.provenance.is_derived())
+            && matches(f.fact.entity, f.fact.value)
+        {
+            push(f.fact.entity, f.fact.value);
         }
-        TimeSpec::AsOf(t) => {
-            for f in store.as_of(t).attr_facts(p.a) {
-                if !(opts.exclude_derived && f.provenance.is_derived())
-                    && matches(f.fact.entity, f.fact.value)
-                {
-                    push(f.fact.entity, f.fact.value);
-                }
-            }
-        }
-        TimeSpec::During(from, to) => {
-            for f in store.during(from, to) {
-                if f.fact.attr == p.a
-                    && !(opts.exclude_derived && f.provenance.is_derived())
-                    && matches(f.fact.entity, f.fact.value)
-                {
-                    push(f.fact.entity, f.fact.value);
-                }
-            }
+    };
+    // Each arm reads the narrowest index the bound terms allow; see the
+    // module docs for the table.
+    match (time, e_known) {
+        (TimeSpec::Current, Some(e)) => store
+            .current()
+            .entity_facts(e)
+            .filter(|f| f.fact.attr == p.a)
+            .for_each(take),
+        (TimeSpec::Current, None) => match v_known {
+            Some(v) => store.current().attr_value_facts(p.a, v).for_each(take),
+            None => store.current().attr_facts(p.a).for_each(take),
+        },
+        (TimeSpec::AsOf(t), Some(e)) => store.as_of(t).entity_facts(e, p.a).for_each(take),
+        (TimeSpec::AsOf(t), None) => store.as_of(t).attr_facts(p.a).into_iter().for_each(take),
+        (TimeSpec::During(from, to), e) => {
+            let visit = |_: EntityId, f: &StoredFact| -> std::result::Result<(), Infallible> {
+                take(f);
+                Ok(())
+            };
+            let range = Some((from, to));
+            let _ = match e {
+                Some(e) => store.visit_entity_attr_facts(e, p.a, range, visit),
+                None => store.visit_attr_facts(p.a, range, visit),
+            };
         }
     }
     Ok(())

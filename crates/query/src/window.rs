@@ -4,8 +4,12 @@
 //! partial aggregates instead of facts:
 //!
 //! 1. **Partials, per shard** ([`WindowPhys::partials`]): the shard
-//!    walks the scanned attribute's timelines, applies the range and
-//!    the filters, and folds each fact into its group's partial state —
+//!    walks the scanned attribute's timelines in one ordered run, each
+//!    cut at the range end and, on a disjoint timeline (every
+//!    cardinality-one timeline no retroactive `replace` overlapped),
+//!    started at its last fact starting at or before the range start;
+//!    it applies the filters and folds each fact into its group's
+//!    partial state —
 //!    one [`AccumulatorBank`] per `(group, pane)` for tumbling and
 //!    sliding windows (panes are `gcd(size, hop)` long, exactly as in
 //!    `TimeWindowOp`'s pane strategy), or the group's partial sessions
@@ -17,8 +21,10 @@
 //!    the statement's columns, sorted, deduplicated and limited.
 //!
 //! Groups are keyed by [`Value`], whose strings hash and compare
-//! equal by symbol, so the per-fact loop resolves no string. Output
-//! order comes from the final row sort alone. One store is the
+//! equal by symbol, so the per-fact loop resolves no string; the
+//! maps hash with [`fenestra_base::hash::KeyHasher`], and entity names
+//! come from the store's id-indexed directory. Output order comes
+//! from the final row sort alone. One store is the
 //! one-partial case ([`WindowPhys::execute_local`]).
 
 use crate::exec::Bindings;
@@ -26,6 +32,7 @@ use crate::plan::{entity_col, WindowPhys};
 use crate::sql::{AggName, WindowKind};
 use fenestra_base::error::{Error, Result};
 use fenestra_base::expr::SliceScope;
+use fenestra_base::hash::KeyMap;
 use fenestra_base::record::{Event, Record};
 use fenestra_base::symbol::Symbol;
 use fenestra_base::time::{Duration, Timestamp};
@@ -34,7 +41,7 @@ use fenestra_stream::aggregate::{AccumulatorBank, AggFunc, AggSpec};
 use fenestra_stream::window::{finish_row, EmitMode};
 use fenestra_temporal::TemporalStore;
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A group key: the `entity` slot and the attribute-value slot, each
 /// `Null` unless the statement groups by it.
@@ -58,9 +65,9 @@ pub struct WindowPartials(Partials);
 #[derive(Debug, Clone)]
 enum Partials {
     /// Tumbling and sliding windows: a bank per `(group, pane start)`.
-    Panes(HashMap<(Group, u64), AccumulatorBank>),
+    Panes(KeyMap<(Group, u64), AccumulatorBank>),
     /// Session windows: each group's sessions, sorted by `first`.
-    Sessions(HashMap<Group, Vec<PartialSession>>),
+    Sessions(KeyMap<Group, Vec<PartialSession>>),
 }
 
 fn gcd(a: u64, b: u64) -> u64 {
@@ -78,8 +85,8 @@ struct Folder<'a> {
     pane_len: u64,
     by_entity: bool,
     by_value: bool,
-    panes: HashMap<(Group, u64), AccumulatorBank>,
-    points: HashMap<Group, Vec<(Timestamp, Value)>>,
+    panes: KeyMap<(Group, u64), AccumulatorBank>,
+    points: KeyMap<Group, Vec<(Timestamp, Value)>>,
 }
 
 impl<'a> Folder<'a> {
@@ -91,8 +98,8 @@ impl<'a> Folder<'a> {
             pane_len: w.pane_len(),
             by_entity: w.keys.contains(&entity),
             by_value: w.keys.contains(&w.attr),
-            panes: HashMap::new(),
-            points: HashMap::new(),
+            panes: KeyMap::default(),
+            points: KeyMap::default(),
         }
     }
 
@@ -204,23 +211,14 @@ impl WindowPhys {
 
     /// Phase one: fold this store's matching facts into partial
     /// aggregates. Facts are read straight off the attribute's
-    /// timelines (cut at the range end), unnamed entities are skipped,
-    /// and each fact counts at its validity start.
+    /// timelines (each cut to the range, see
+    /// [`TemporalStore::visit_attr_facts`]), unnamed entities are
+    /// skipped, and each fact counts at its validity start.
     pub fn partials(&self, store: &TemporalStore) -> Result<WindowPartials> {
         let entity = entity_col();
         let mut fold = Folder::new(self);
-        // Facts arrive entity by entity: resolve each name once.
-        let mut named: Option<(EntityId, Option<Symbol>)> = None;
         store.visit_attr_facts(self.attr, self.range, |e, f| {
-            let name = match named {
-                Some((id, name)) if id == e => name,
-                _ => {
-                    let name = store.entity_name(e);
-                    named = Some((e, name));
-                    name
-                }
-            };
-            let Some(name) = name else {
+            let Some(name) = store.entity_name(e) else {
                 return Ok(());
             };
             let bindings = [(entity, Value::Str(name)), (self.attr, f.fact.value)];
@@ -255,7 +253,7 @@ impl WindowPhys {
     /// (`size` long, every `hop`) that holds at least one of them.
     fn fire_panes(&self, parts: Vec<WindowPartials>, size: u64, hop: u64) -> Vec<Bindings> {
         let specs = self.specs();
-        let mut groups: HashMap<Group, BTreeMap<u64, AccumulatorBank>> = HashMap::new();
+        let mut groups: KeyMap<Group, BTreeMap<u64, AccumulatorBank>> = KeyMap::default();
         for part in parts {
             let Partials::Panes(panes) = part.0 else {
                 continue;
@@ -296,7 +294,7 @@ impl WindowPhys {
     fn fire_sessions(&self, parts: Vec<WindowPartials>, gap_ms: u64) -> Vec<Bindings> {
         let specs = self.specs();
         let gap = Duration::millis(gap_ms);
-        let mut groups: HashMap<Group, Vec<PartialSession>> = HashMap::new();
+        let mut groups: KeyMap<Group, Vec<PartialSession>> = KeyMap::default();
         for part in parts {
             let Partials::Sessions(sessions) = part.0 else {
                 continue;

@@ -166,6 +166,10 @@ fn filled() -> (ServerMetrics, PipelineObs, CacheStats, RoleCpu) {
         other_sys_us: f.next(),
         other_vol_switches: f.next(),
     };
+    // Added after the rest, so the earlier values keep their numbers.
+    for h in [&obs.plan.partial_us, &obs.plan.merge_us] {
+        f.hist(h);
+    }
     (m, obs, plans, cpu)
 }
 

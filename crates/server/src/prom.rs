@@ -347,6 +347,16 @@ fenestra_plan_exec_us_bucket{le=\"1\"} 2
 fenestra_plan_exec_us_bucket{le=\"+Inf\"} 2
 fenestra_plan_exec_us_sum 1
 fenestra_plan_exec_us_count 2
+# HELP fenestra_plan_partial_us Time one shard spent on its part of one executed plan (microseconds)
+# TYPE fenestra_plan_partial_us histogram
+fenestra_plan_partial_us_bucket{le=\"+Inf\"} 0
+fenestra_plan_partial_us_sum 0
+fenestra_plan_partial_us_count 0
+# HELP fenestra_plan_merge_us Time merging one executed plan's shard parts and writing its reply line (microseconds)
+# TYPE fenestra_plan_merge_us histogram
+fenestra_plan_merge_us_bucket{le=\"+Inf\"} 0
+fenestra_plan_merge_us_sum 0
+fenestra_plan_merge_us_count 0
 ";
         assert_eq!(out, golden);
     }

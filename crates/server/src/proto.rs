@@ -6,11 +6,12 @@
 
 use fenestra_base::error::{Error, Result};
 use fenestra_base::record::Event;
+use fenestra_base::symbol::Symbol;
 use fenestra_base::value::Value;
 use fenestra_core::{QueryResult, WatchDelta};
 use fenestra_temporal::{Provenance, TemporalStore};
-use fenestra_wire::value_to_json;
 use serde_json::{Map, Value as Json};
+use std::fmt::Write;
 
 /// One parsed client request.
 #[derive(Debug)]
@@ -252,75 +253,153 @@ pub fn synced() -> String {
     "{\"ok\":true,\"synced\":true}".into()
 }
 
-/// Render a value for the wire, resolving entity ids to their
-/// registered names (clients see `"a0"`, not an opaque `"#3"`).
-fn resolved(v: &Value, store: Option<&TemporalStore>) -> Json {
-    if let (Value::Id(e), Some(s)) = (v, store) {
-        if let Some(name) = s.entity_name(*e) {
-            return Json::from(name.as_str());
+// Query replies and watch deltas are the bulk of the JSONL plane's
+// output, so they are written straight into their line, byte for byte
+// as the `serde_json` tree they replace would render: keys in
+// insertion order, a repeated key written at its first place with its
+// last value, the same escapes and number forms.
+
+/// Append `s`'s characters, escaped as `serde_json` escapes them, with
+/// no quotes around them.
+fn push_escaped(out: &mut String, s: &str) {
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[plain..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
+        }
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
+}
+
+/// Append `s` as a JSON string.
+fn push_str(out: &mut String, s: &str) {
+    out.push('"');
+    push_escaped(out, s);
+    out.push('"');
+}
+
+/// Append a value for the wire, resolving entity ids to their
+/// registered names (clients see `"a0"`, not an opaque `"#3"`): the
+/// bytes of `fenestra_wire::value_to_json` of the resolved value.
+fn push_value(out: &mut String, v: Value, store: Option<&TemporalStore>) {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        Value::Float(f) => match serde_json::Number::from_f64(f) {
+            Some(n) => {
+                let _ = write!(out, "{n}");
+            }
+            None => out.push_str("null"),
+        },
+        Value::Str(s) => push_str(out, s.as_str()),
+        Value::Id(e) => match store.and_then(|s| s.entity_name(e)) {
+            Some(name) => push_str(out, name.as_str()),
+            None => {
+                let _ = write!(out, "\"#{}\"", e.0);
+            }
+        },
+        Value::Time(t) => {
+            let _ = write!(out, "{}", t.millis());
         }
     }
-    value_to_json(v)
+}
+
+/// Append one row as a JSON object.
+fn push_row(out: &mut String, row: &[(Symbol, Value)], store: Option<&TemporalStore>) {
+    out.push('{');
+    for (i, (name, _)) in row.iter().enumerate() {
+        if row[..i].iter().any(|(n, _)| n == name) {
+            continue;
+        }
+        if i > 0 {
+            out.push(',');
+        }
+        push_str(out, name.as_str());
+        out.push(':');
+        let last = row[i..].iter().rev().find(|(n, _)| n == name);
+        push_value(out, last.expect("the name itself").1, store);
+    }
+    out.push('}');
 }
 
 /// Successful query reply: `{"ok":true,"rows":[…]}` for select
 /// queries, `{"ok":true,"history":[…]}` for timelines.
 pub fn query_reply(res: &QueryResult, store: Option<&TemporalStore>) -> String {
-    let mut obj = Map::new();
-    obj.insert("ok".into(), Json::Bool(true));
+    let mut out = String::with_capacity(64);
     match res {
         QueryResult::Rows(rows) => {
-            let rows: Vec<Json> = rows
-                .iter()
-                .map(|row| {
-                    let mut o = Map::new();
-                    for (name, v) in row {
-                        o.insert(name.as_str().into(), resolved(v, store));
-                    }
-                    Json::Object(o)
-                })
-                .collect();
-            obj.insert("rows".into(), Json::Array(rows));
+            out.reserve(rows.len() * 24);
+            out.push_str("{\"ok\":true,\"rows\":[");
+            for (i, row) in rows.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_row(&mut out, row, store);
+            }
         }
         QueryResult::History(spans) => {
-            let spans: Vec<Json> = spans
-                .iter()
-                .map(|(iv, v, prov)| {
-                    let mut o = Map::new();
-                    o.insert("start".into(), Json::from(iv.start.millis()));
-                    o.insert(
-                        "end".into(),
-                        iv.end.map_or(Json::Null, |t| Json::from(t.millis())),
-                    );
-                    o.insert("value".into(), resolved(v, store));
-                    o.insert(
-                        "provenance".into(),
-                        Json::from(match prov {
-                            Provenance::External => "external".to_string(),
-                            Provenance::Rule(r) => format!("rule:{}", r.as_str()),
-                            Provenance::Derived(r) => format!("derived:{}", r.as_str()),
-                        }),
-                    );
-                    Json::Object(o)
-                })
-                .collect();
-            obj.insert("history".into(), Json::Array(spans));
+            out.reserve(spans.len() * 64);
+            out.push_str("{\"ok\":true,\"history\":[");
+            for (i, (iv, v, prov)) in spans.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{{\"start\":{},\"end\":", iv.start.millis());
+                match iv.end {
+                    Some(t) => {
+                        let _ = write!(out, "{}", t.millis());
+                    }
+                    None => out.push_str("null"),
+                }
+                out.push_str(",\"value\":");
+                push_value(&mut out, *v, store);
+                out.push_str(",\"provenance\":\"");
+                match prov {
+                    Provenance::External => out.push_str("external"),
+                    Provenance::Rule(r) => {
+                        out.push_str("rule:");
+                        push_escaped(&mut out, r.as_str());
+                    }
+                    Provenance::Derived(r) => {
+                        out.push_str("derived:");
+                        push_escaped(&mut out, r.as_str());
+                    }
+                }
+                out.push_str("\"}");
+            }
         }
     }
-    Json::Object(obj).to_string()
+    out.push_str("]}");
+    out
 }
 
 /// One pushed view change: `{"watch":NAME,"sign":±1,"row":{…}}`.
 pub fn delta_line(d: &WatchDelta, store: Option<&TemporalStore>) -> String {
-    let mut obj = Map::new();
-    obj.insert("watch".into(), Json::from(d.watch.as_str()));
-    obj.insert("sign".into(), Json::Number(d.sign.into()));
-    let mut row = Map::new();
-    for (name, v) in &d.row {
-        row.insert(name.as_str().into(), resolved(v, store));
-    }
-    obj.insert("row".into(), Json::Object(row));
-    Json::Object(obj).to_string()
+    let mut out = String::with_capacity(48 + d.row.len() * 24);
+    out.push_str("{\"watch\":");
+    push_str(&mut out, d.watch.as_str());
+    let _ = write!(out, ",\"sign\":{},\"row\":", d.sign);
+    push_row(&mut out, &d.row, store);
+    out.push('}');
+    out
 }
 
 /// `EXPLAIN` reply: the logical and physical plan trees as rendered
@@ -354,9 +433,8 @@ pub fn stats_reply(engine: Json, server: Json) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fenestra_base::symbol::Symbol;
     use fenestra_base::time::{Interval, Timestamp};
-    use fenestra_base::value::Value;
+    use fenestra_query::Bindings;
 
     #[test]
     fn events_and_commands_disambiguate() {
@@ -550,6 +628,148 @@ mod tests {
             span.get("provenance").and_then(|x| x.as_str()),
             Some("rule:r")
         );
+    }
+
+    /// The `serde_json` trees the replies were built from before they
+    /// were written directly; the writers must match them byte for byte.
+    fn tree_value(v: &Value, store: Option<&TemporalStore>) -> Json {
+        if let (Value::Id(e), Some(s)) = (v, store) {
+            if let Some(name) = s.entity_name(*e) {
+                return Json::from(name.as_str());
+            }
+        }
+        fenestra_wire::value_to_json(v)
+    }
+
+    fn tree_row(row: &[(Symbol, Value)], store: Option<&TemporalStore>) -> Json {
+        let mut o = Map::new();
+        for (name, v) in row {
+            o.insert(name.as_str().into(), tree_value(v, store));
+        }
+        Json::Object(o)
+    }
+
+    fn tree_reply(res: &QueryResult, store: Option<&TemporalStore>) -> String {
+        let mut obj = Map::new();
+        obj.insert("ok".into(), Json::Bool(true));
+        match res {
+            QueryResult::Rows(rows) => {
+                let rows = rows.iter().map(|r| tree_row(r, store)).collect();
+                obj.insert("rows".into(), Json::Array(rows));
+            }
+            QueryResult::History(spans) => {
+                let spans = spans
+                    .iter()
+                    .map(|(iv, v, prov)| {
+                        let mut o = Map::new();
+                        o.insert("start".into(), Json::from(iv.start.millis()));
+                        o.insert(
+                            "end".into(),
+                            iv.end.map_or(Json::Null, |t| Json::from(t.millis())),
+                        );
+                        o.insert("value".into(), tree_value(v, store));
+                        o.insert(
+                            "provenance".into(),
+                            Json::from(match prov {
+                                Provenance::External => "external".to_string(),
+                                Provenance::Rule(r) => format!("rule:{}", r.as_str()),
+                                Provenance::Derived(r) => format!("derived:{}", r.as_str()),
+                            }),
+                        );
+                        Json::Object(o)
+                    })
+                    .collect();
+                obj.insert("history".into(), Json::Array(spans));
+            }
+        }
+        Json::Object(obj).to_string()
+    }
+
+    #[test]
+    fn written_replies_match_the_json_trees_byte_for_byte() {
+        let mut store = TemporalStore::new();
+        let named = store.named_entity("a\"0\u{1}é");
+        let anonymous = store.new_entity();
+        let texts = [
+            "",
+            "plain",
+            "q\"uote",
+            "back\\slash",
+            "nl\ncr\rtab\t",
+            "\u{8}\u{c}\u{0}\u{1f}\u{7f}",
+            "ünï/çødé 🦀",
+            "</script>",
+        ];
+        let mut values: Vec<Value> = texts.iter().map(|t| Value::str(t)).collect();
+        values.extend([
+            Value::Null,
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Int(0),
+            Value::Int(-7),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Float(1.0),
+            Value::Float(-0.0),
+            Value::Float(0.1),
+            Value::Float(2.5e-8),
+            Value::Float(1e15),
+            Value::Float(1e300),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Id(named),
+            Value::Id(anonymous),
+            Value::Time(Timestamp::new(42)),
+        ]);
+        // `v` twice: written at its first place with its last value.
+        let names: Vec<Symbol> = ["v", "r", "n\"x", "v"]
+            .iter()
+            .map(|n| Symbol::intern(n))
+            .collect();
+        let rows: Vec<Bindings> = values
+            .chunks(names.len())
+            .map(|vals| names.iter().copied().zip(vals.iter().copied()).collect())
+            .chain([Vec::new()])
+            .collect();
+        let provs = [
+            Provenance::External,
+            Provenance::Rule(Symbol::intern("r\"1")),
+            Provenance::Derived(Symbol::intern("onto")),
+        ];
+        let spans: Vec<(Interval, Value, Provenance)> = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                let start = Timestamp::new(i as u64);
+                let iv = match i % 2 {
+                    0 => Interval::open(start),
+                    _ => Interval::closed(start, Timestamp::new(i as u64 + 5)),
+                };
+                (iv, *v, provs[i % 3])
+            })
+            .collect();
+        for st in [None, Some(&store)] {
+            for res in [
+                QueryResult::Rows(rows.clone()),
+                QueryResult::Rows(Vec::new()),
+                QueryResult::History(spans.clone()),
+                QueryResult::History(Vec::new()),
+            ] {
+                assert_eq!(query_reply(&res, st), tree_reply(&res, st));
+            }
+            for (i, row) in rows.iter().enumerate() {
+                let d = WatchDelta {
+                    watch: Symbol::intern(texts[i % texts.len()]),
+                    sign: if i % 2 == 0 { 1 } else { -1 },
+                    row: row.clone(),
+                };
+                let mut obj = Map::new();
+                obj.insert("watch".into(), Json::from(d.watch.as_str()));
+                obj.insert("sign".into(), Json::Number(d.sign.into()));
+                obj.insert("row".into(), tree_row(&d.row, st));
+                assert_eq!(delta_line(&d, st), Json::Object(obj).to_string());
+            }
+        }
     }
 
     #[test]

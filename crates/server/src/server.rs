@@ -37,7 +37,7 @@ use fenestra_base::error::{Error, Result};
 use fenestra_base::record::Event;
 use fenestra_base::time::{Duration, Timestamp};
 use fenestra_core::{Engine, EngineConfig, EngineMetrics, PollPass, ShardRouter, Watch};
-use fenestra_obs::{PipelineObs, ShardObs};
+use fenestra_obs::{PipelineObs, PlanObs, ShardObs};
 use fenestra_query::{CacheStats, CachedPlan, PlanCache, PlanPart, QueryOptions};
 use fenestra_replica::{
     load_epoch, now_us, serve_follower, store_epoch, AckTracker, FollowerClient, LeaderConfig,
@@ -681,6 +681,7 @@ impl Server {
                 gc_horizon,
                 metrics: metrics.clone(),
                 obs: obs.shards[i].clone(),
+                plan_obs: obs.plan.clone(),
                 slow_ms,
                 ack_table: ack_table.clone(),
                 repl: repl.clone(),
@@ -1117,6 +1118,8 @@ struct ShardCtx {
     gc_horizon: Option<Duration>,
     metrics: Arc<ServerMetrics>,
     obs: Arc<ShardObs>,
+    /// Shared with every shard and connection: `plan.partial_us`.
+    plan_obs: Arc<PlanObs>,
     slow_ms: Option<u64>,
     ack_table: Arc<AckTable>,
     /// Replication role, when replication is configured at all. While
@@ -1483,10 +1486,14 @@ impl ShardCtx {
                     Err(_) => {}
                 }
             }
+            let t0 = Instant::now();
             parts.push(
                 plan.physical
                     .partial(&self.engine.store(), QueryOptions::default()),
             );
+            self.plan_obs
+                .partial_us
+                .record(t0.elapsed().as_micros() as u64);
         }
         parts
     }
@@ -2615,6 +2622,7 @@ fn dispatch_plans(ctx: &ConnCtx, plans: Vec<Arc<CachedPlan>>) -> Vec<String> {
                 .iter_mut()
                 .map(|parts| parts.next().expect("a shard answers every plan"))
                 .collect();
+            let merging = Instant::now();
             let line = match parts
                 .into_iter()
                 .collect::<Result<Vec<_>>>()
@@ -2623,7 +2631,11 @@ fn dispatch_plans(ctx: &ConnCtx, plans: Vec<Arc<CachedPlan>>) -> Vec<String> {
                 Ok(res) => proto::query_reply(&res, None),
                 Err(e) => proto::error(&e.to_string()),
             };
-            ctx.obs.plan.exec_us.record(t0.elapsed().as_micros() as u64);
+            let plan_obs = &ctx.obs.plan;
+            plan_obs
+                .merge_us
+                .record(merging.elapsed().as_micros() as u64);
+            plan_obs.exec_us.record(t0.elapsed().as_micros() as u64);
             line
         })
         .collect()

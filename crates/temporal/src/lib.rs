@@ -30,8 +30,10 @@
 //!   instant (per-`(e,a)` timelines, binary searched).
 //! * [`TemporalStore::history`] — the full timeline of an
 //!   `(entity, attribute)` pair.
-//! * [`TemporalStore::during`] — every fact whose validity overlaps a
-//!   range.
+//! * [`TemporalStore::visit_attr_facts`] and
+//!   [`TemporalStore::visit_entity_attr_facts`] — every fact of an
+//!   attribute (or of one entity's attribute) whose validity overlaps
+//!   a range, each timeline cut to the range.
 //!
 //! ## Durability
 //!

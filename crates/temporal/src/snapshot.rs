@@ -97,6 +97,23 @@ impl<'a> CurrentView<'a> {
             .filter_map(|id| self.store.get(*id))
     }
 
+    /// Open facts carrying `(attr, value)` (any entity), in fact-id
+    /// order: the subset of [`CurrentView::attr_facts`] holding
+    /// `value`, read off the reverse index.
+    pub fn attr_value_facts(
+        &self,
+        attr: impl Into<AttrId>,
+        value: impl Into<Value>,
+    ) -> impl Iterator<Item = &'a StoredFact> + '_ {
+        let key = (attr.into(), value.into());
+        self.store
+            .open_by_attr_value
+            .get(&key)
+            .into_iter()
+            .flat_map(|ids| ids.iter())
+            .filter_map(|id| self.store.get(*id))
+    }
+
     /// Entities for which `(attr, value)` is currently valid — the
     /// reverse lookup behind state-gated processing ("only active
     /// users").
@@ -158,22 +175,13 @@ impl<'a> AsOfView<'a> {
 
     /// The value of `(entity, attr)` valid at `t` (newest if several).
     pub fn value(&self, entity: EntityId, attr: impl Into<AttrId>) -> Option<Value> {
-        let attr = attr.into();
-        let tl = self.store.timelines.get(&(entity, attr))?;
-        tl.candidates_at(self.t)
-            .find_map(|id| self.valid(id))
-            .map(|f| f.fact.value)
+        self.entity_facts(entity, attr).next().map(|f| f.fact.value)
     }
 
     /// All values of `(entity, attr)` valid at `t`.
     pub fn values(&self, entity: EntityId, attr: impl Into<AttrId>) -> Vec<Value> {
-        let attr = attr.into();
-        let Some(tl) = self.store.timelines.get(&(entity, attr)) else {
-            return Vec::new();
-        };
-        let mut out: Vec<Value> = tl
-            .candidates_at(self.t)
-            .filter_map(|id| self.valid(id))
+        let mut out: Vec<Value> = self
+            .entity_facts(entity, attr)
             .map(|f| f.fact.value)
             .collect();
         out.reverse(); // assertion order
@@ -187,23 +195,32 @@ impl<'a> AsOfView<'a> {
         attr: impl Into<AttrId>,
         value: impl Into<Value>,
     ) -> bool {
-        let attr = attr.into();
         let value = value.into();
-        self.store.timelines.get(&(entity, attr)).is_some_and(|tl| {
-            tl.candidates_at(self.t)
-                .filter_map(|id| self.valid(id))
-                .any(|f| f.fact.value == value)
-        })
+        self.entity_facts(entity, attr)
+            .any(|f| f.fact.value == value)
     }
 
-    /// Every fact valid at `t` (ordered by entity, then attribute).
+    /// The facts of `(entity, attr)` valid at `t`, newest first, read
+    /// off that one timeline (on a disjoint timeline, only its newest
+    /// fact starting at or before `t` is looked at).
+    pub fn entity_facts(
+        &self,
+        entity: EntityId,
+        attr: impl Into<AttrId>,
+    ) -> impl Iterator<Item = &'a StoredFact> + '_ {
+        self.store
+            .timeline(entity, attr.into())
+            .into_iter()
+            .flat_map(|tl| tl.candidates_at(self.t))
+            .filter_map(|id| self.valid(id))
+    }
+
+    /// Every fact valid at `t` (ordered by attribute, then entity).
     pub fn facts(&self) -> Vec<&'a StoredFact> {
         let mut out = Vec::new();
-        for tl in self.store.timelines.values() {
-            for id in tl.candidates_at(self.t) {
-                if let Some(f) = self.valid(id) {
-                    out.push(f);
-                }
+        for tls in self.store.timelines.values() {
+            for tl in tls.values() {
+                out.extend(tl.candidates_at(self.t).filter_map(|id| self.valid(id)));
             }
         }
         out
@@ -211,17 +228,10 @@ impl<'a> AsOfView<'a> {
 
     /// Facts valid at `t` carrying `attr`.
     pub fn attr_facts(&self, attr: impl Into<AttrId>) -> Vec<&'a StoredFact> {
-        let attr = attr.into();
         let mut out = Vec::new();
-        if let Some(entities) = self.store.attr_entities.get(&attr) {
-            for &e in entities {
-                if let Some(tl) = self.store.timelines.get(&(e, attr)) {
-                    for id in tl.candidates_at(self.t) {
-                        if let Some(f) = self.valid(id) {
-                            out.push(f);
-                        }
-                    }
-                }
+        if let Some(tls) = self.store.timelines.get(&attr.into()) {
+            for tl in tls.values() {
+                out.extend(tl.candidates_at(self.t).filter_map(|id| self.valid(id)));
             }
         }
         out
@@ -277,6 +287,12 @@ mod tests {
         assert_eq!(cur.entity_facts(a).count(), 2);
         assert_eq!(cur.attr_facts("room").count(), 2);
         assert_eq!(cur.entities_with("room", "lobby"), vec![b]);
+        let lobby: Vec<EntityId> = cur
+            .attr_value_facts("room", "lobby")
+            .map(|f| f.fact.entity)
+            .collect();
+        assert_eq!(lobby, vec![b]);
+        assert_eq!(cur.attr_value_facts("room", "hall").count(), 0);
         assert_eq!(cur.entity_count_with_attr("room"), 2);
     }
 
@@ -294,6 +310,10 @@ mod tests {
         // Between: exactly the valid facts.
         assert_eq!(v15.facts().len(), 3);
         assert_eq!(v15.attr_facts("room").len(), 2);
+        let a15: Vec<Value> = v15.entity_facts(a, "room").map(|f| f.fact.value).collect();
+        assert_eq!(a15, vec![Value::str("lobby")]);
+        assert_eq!(s.as_of(ts(5)).entity_facts(a, "room").count(), 0);
+        assert_eq!(v15.entity_facts(b, "tag").count(), 0);
     }
 
     #[test]

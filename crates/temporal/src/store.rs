@@ -50,16 +50,19 @@ pub struct TemporalStore {
     pub(crate) open_by_attr_value: HashMap<(AttrId, Value), BTreeSet<FactId>>,
     /// Open facts per (entity, attribute) — cardinality checks.
     pub(crate) open_by_ea: HashMap<(EntityId, AttrId), Vec<FactId>>,
-    /// Full history per (entity, attribute).
-    pub(crate) timelines: BTreeMap<(EntityId, AttrId), Timeline>,
-    /// Entities that ever carried an attribute (for as-of scans).
-    pub(crate) attr_entities: BTreeMap<AttrId, BTreeSet<EntityId>>,
+    /// Full history per attribute, then entity: an attribute's
+    /// timelines are one ordered run, walked without a lookup per
+    /// entity.
+    pub(crate) timelines: BTreeMap<AttrId, BTreeMap<EntityId, Timeline>>,
     /// Greatest closed-interval end per (entity, attribute): O(1)
     /// retroactive-overlap checks for cardinality-one attributes.
     pub(crate) max_closed_end: HashMap<(EntityId, AttrId), Timestamp>,
     /// Named entity directory.
     entity_names: HashMap<Symbol, EntityId>,
-    entity_names_rev: HashMap<EntityId, Symbol>,
+    /// Entity names indexed by id. Ids are allocated in sequence, so
+    /// the vector is as long as the highest named id (the entity
+    /// directory of [`TemporalStore::compact_ops`] is too).
+    entity_names_rev: Vec<Option<Symbol>>,
     next_entity: u64,
     /// Monotone revision counter; bumps on every state change.
     revision: u64,
@@ -120,7 +123,11 @@ impl TemporalStore {
         let e = EntityId(self.next_entity);
         self.next_entity += 1;
         self.entity_names.insert(name, e);
-        self.entity_names_rev.insert(e, name);
+        let i = e.0 as usize;
+        if self.entity_names_rev.len() <= i {
+            self.entity_names_rev.resize(i + 1, None);
+        }
+        self.entity_names_rev[i] = Some(name);
         self.journal(WalOp::NewEntity { name: Some(name) });
         e
     }
@@ -132,7 +139,7 @@ impl TemporalStore {
 
     /// The registered name of an entity, if any.
     pub fn entity_name(&self, e: EntityId) -> Option<Symbol> {
-        self.entity_names_rev.get(&e).copied()
+        self.entity_names_rev.get(e.0 as usize).copied().flatten()
     }
 
     // ----- mutation ---------------------------------------------------------
@@ -354,8 +361,7 @@ impl TemporalStore {
         entity: EntityId,
         attr: impl Into<AttrId>,
     ) -> Vec<(Interval, Value, Provenance)> {
-        let attr = attr.into();
-        let Some(tl) = self.timelines.get(&(entity, attr)) else {
+        let Some(tl) = self.timeline(entity, attr.into()) else {
             return Vec::new();
         };
         tl.entries()
@@ -365,59 +371,71 @@ impl TemporalStore {
             .collect()
     }
 
+    /// The timeline of `(entity, attr)`, if it has any history.
+    pub(crate) fn timeline(&self, entity: EntityId, attr: AttrId) -> Option<&Timeline> {
+        self.timelines.get(&attr)?.get(&entity)
+    }
+
     /// Visit every stored fact of `attr` whose validity overlaps
     /// `range` (`[from, to)`; `None` visits all history), entity by
     /// entity in id order and each timeline in validity-start order.
-    /// Nothing is collected or cloned; the first error `visit` returns
-    /// stops the walk and is returned.
+    /// Each timeline is cut at the range end and, if disjoint, started
+    /// at its last fact starting at or before the range start (see
+    /// [`Timeline`]). Nothing is collected or cloned; the first error
+    /// `visit` returns stops the walk and is returned.
     pub fn visit_attr_facts<E>(
         &self,
         attr: impl Into<AttrId>,
         range: Option<(Timestamp, Timestamp)>,
         mut visit: impl FnMut(EntityId, &StoredFact) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
-        let attr = attr.into();
-        let Some(entities) = self.attr_entities.get(&attr) else {
+        let Some(timelines) = self.timelines.get(&attr.into()) else {
             return Ok(());
         };
-        for &e in entities {
-            let Some(tl) = self.timelines.get(&(e, attr)) else {
-                continue;
-            };
-            let entries = tl.entries();
-            // A fact overlapping `[from, to)` starts before `to`.
-            let end = match range {
-                Some((_, to)) => entries.partition_point(|x| x.start < to),
-                None => entries.len(),
-            };
-            for entry in &entries[..end] {
-                let Some(f) = self.get(entry.id) else {
-                    continue;
-                };
-                if let Some((from, to)) = range {
-                    if !f.validity.overlaps_range(from, to) {
-                        continue;
-                    }
-                }
-                visit(e, f)?;
-            }
+        for (&e, tl) in timelines {
+            self.visit_timeline(e, tl, range, &mut visit)?;
         }
         Ok(())
     }
 
-    /// Every stored fact whose validity overlaps `[from, to)`.
-    pub fn during(&self, from: Timestamp, to: Timestamp) -> Vec<&StoredFact> {
-        let mut out = Vec::new();
-        for tl in self.timelines.values() {
-            for id in tl.candidates_overlapping(to) {
-                if let Some(f) = self.get(id) {
-                    if f.validity.overlaps_range(from, to) {
-                        out.push(f);
-                    }
+    /// [`TemporalStore::visit_attr_facts`] for one entity: its facts of
+    /// `attr` overlapping `range`, in validity-start order.
+    pub fn visit_entity_attr_facts<E>(
+        &self,
+        entity: EntityId,
+        attr: impl Into<AttrId>,
+        range: Option<(Timestamp, Timestamp)>,
+        mut visit: impl FnMut(EntityId, &StoredFact) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        match self.timeline(entity, attr.into()) {
+            Some(tl) => self.visit_timeline(entity, tl, range, &mut visit),
+            None => Ok(()),
+        }
+    }
+
+    fn visit_timeline<E>(
+        &self,
+        e: EntityId,
+        tl: &Timeline,
+        range: Option<(Timestamp, Timestamp)>,
+        visit: &mut impl FnMut(EntityId, &StoredFact) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let entries = match range {
+            Some((from, to)) => tl.overlapping(from, to),
+            None => tl.entries(),
+        };
+        for entry in entries {
+            let Some(f) = self.get(entry.id) else {
+                continue;
+            };
+            if let Some((from, to)) = range {
+                if !f.validity.overlaps_range(from, to) {
+                    continue;
                 }
             }
+            visit(e, f)?;
         }
-        out
+        Ok(())
     }
 
     /// Number of currently open facts. O(1).
@@ -506,20 +524,22 @@ impl TemporalStore {
         // between them.
         let hi = self
             .entity_names_rev
-            .keys()
-            .map(|e| e.0 + 1)
-            .max()
-            .unwrap_or(0);
-        for id in 0..hi {
-            ops.push(WalOp::NewEntity {
-                name: self.entity_names_rev.get(&EntityId(id)).copied(),
-            });
+            .iter()
+            .rposition(Option::is_some)
+            .map_or(0, |i| i + 1);
+        for &name in &self.entity_names_rev[..hi] {
+            ops.push(WalOp::NewEntity { name });
         }
-        // Facts, one timeline at a time. Closed intervals first (each
-        // assert immediately closed, so a later identical value can
-        // never hit the open-fact idempotence shortcut and merge), then
-        // the open facts; both in validity-start order.
-        for ((e, a), tl) in &self.timelines {
+        // Facts, one timeline at a time, attribute by attribute. Closed
+        // intervals first (each assert immediately closed, so a later
+        // identical value can never hit the open-fact idempotence
+        // shortcut and merge), then the open facts; both in
+        // validity-start order.
+        for (e, a, tl) in self
+            .timelines
+            .iter()
+            .flat_map(|(a, tls)| tls.iter().map(move |(e, tl)| (e, a, tl)))
+        {
             let mut open = Vec::new();
             for entry in tl.entries() {
                 let Some(f) = self.get(entry.id) else {
@@ -713,16 +733,14 @@ impl TemporalStore {
         for id in victims {
             let f = self.arena[id.0 as usize].take().expect("victim live");
             self.free.push(id);
-            let key = (f.fact.entity, f.fact.attr);
-            if let Some(tl) = self.timelines.get_mut(&key) {
-                tl.remove(id);
-                if tl.is_empty() {
-                    self.timelines.remove(&key);
-                    // Entity no longer has any record of this attribute.
-                    if let Some(set) = self.attr_entities.get_mut(&f.fact.attr) {
-                        set.remove(&f.fact.entity);
-                        if set.is_empty() {
-                            self.attr_entities.remove(&f.fact.attr);
+            let (e, a) = (f.fact.entity, f.fact.attr);
+            if let Some(tls) = self.timelines.get_mut(&a) {
+                if let Some(tl) = tls.get_mut(&e) {
+                    tl.remove(id);
+                    if tl.is_empty() {
+                        tls.remove(&e);
+                        if tls.is_empty() {
+                            self.timelines.remove(&a);
                         }
                     }
                 }
@@ -766,9 +784,18 @@ impl TemporalStore {
             .entry((a, v))
             .or_default()
             .insert(id);
-        self.open_by_ea.entry((e, a)).or_default().push(id);
-        self.timelines.entry((e, a)).or_default().insert(t, id);
-        self.attr_entities.entry(a).or_default().insert(e);
+        // The new interval `[t, ∞)` may overlap another if one is still
+        // open or one ended after `t` (the end may have been reclaimed
+        // since: a conservative answer).
+        let open = self.open_by_ea.entry((e, a)).or_default();
+        let overlaps =
+            !open.is_empty() || self.max_closed_end.get(&(e, a)).is_some_and(|&end| end > t);
+        open.push(id);
+        let tl = self.timelines.entry(a).or_default().entry(e).or_default();
+        tl.insert(t, id);
+        if overlaps {
+            tl.mark_overlapping();
+        }
         if self.next_entity <= e.0 {
             // Entities referenced without allocation still advance the
             // allocator so replay/new_entity never collides with them.
@@ -986,7 +1013,7 @@ mod tests {
     }
 
     #[test]
-    fn during_finds_overlapping_facts() {
+    fn visit_attr_facts_finds_overlapping_facts() {
         let mut s = TemporalStore::new();
         let e = s.new_entity();
         s.assert_at(e, "x", 1i64, ts(0)).unwrap();
@@ -994,15 +1021,18 @@ mod tests {
         s.assert_at(e, "x", 2i64, ts(10)).unwrap();
         s.retract_at(e, "x", 2i64, ts(20)).unwrap();
         s.assert_at(e, "x", 3i64, ts(20)).unwrap();
-        let vals: Vec<Value> = s
-            .during(ts(5), ts(15))
-            .iter()
-            .map(|f| f.fact.value)
-            .collect();
-        assert_eq!(vals.len(), 2);
-        assert!(vals.contains(&Value::Int(1)) && vals.contains(&Value::Int(2)));
-        let all = s.during(ts(0), ts(100));
-        assert_eq!(all.len(), 3);
+        s.assert_at(e, "y", 4i64, ts(0)).unwrap();
+        let values = |from: u64, to: u64| {
+            let mut vals = Vec::new();
+            s.visit_attr_facts::<()>("x", Some((ts(from), ts(to))), |_, f| {
+                vals.push(f.fact.value);
+                Ok(())
+            })
+            .unwrap();
+            vals
+        };
+        assert_eq!(values(5, 15), vec![Value::Int(1), Value::Int(2)]);
+        assert_eq!(values(0, 100).len(), 3, "only the attribute asked for");
     }
 
     #[test]
@@ -1043,6 +1073,41 @@ mod tests {
             Err("stop")
         });
         assert_eq!((err, calls), (Err("stop"), 1));
+    }
+
+    #[test]
+    fn a_retroactive_replace_keeps_the_walks_complete() {
+        let mut s = TemporalStore::new();
+        s.declare_attr("room", AttrSchema::one());
+        let v = s.new_entity();
+        let w = s.new_entity();
+        s.replace_at(v, "room", "a", ts(10)).unwrap();
+        s.replace_at(v, "room", "b", ts(20)).unwrap();
+        s.retract_at(v, "room", "b", ts(30)).unwrap();
+        s.replace_at(w, "room", "a", ts(12)).unwrap();
+        let room = Symbol::intern("room");
+        assert!(s.timeline(v, room).unwrap().is_disjoint());
+        let seen = |s: &TemporalStore, e: EntityId, from: u64| {
+            let mut vals = Vec::new();
+            s.visit_entity_attr_facts::<()>(e, room, Some((ts(from), ts(from + 1))), |_, f| {
+                vals.push(f.fact.value);
+                Ok(())
+            })
+            .unwrap();
+            vals
+        };
+        assert_eq!(seen(&s, v, 27), vec![Value::str("b")]);
+        // A replace checks no closed history, so `[25, ∞)` overlaps
+        // `[20, 30)`; the timeline stops skipping earlier entries.
+        s.replace_at(v, "room", "c", ts(25)).unwrap();
+        assert!(!s.timeline(v, room).unwrap().is_disjoint());
+        assert!(s.timeline(w, room).unwrap().is_disjoint());
+        assert_eq!(seen(&s, v, 27), vec![Value::str("b"), Value::str("c")]);
+        assert_eq!(
+            s.as_of(ts(27)).values(v, "room"),
+            vec![Value::str("b"), Value::str("c")]
+        );
+        assert_eq!(seen(&s, w, 27), vec![Value::str("a")]);
     }
 
     #[test]
@@ -1340,7 +1405,15 @@ mod compact_tests {
         }
         for (from, to) in [(0, t + 1), (t - 40, t - 10), (t - 5, t + 5)] {
             let during = |st: &TemporalStore| -> Vec<_> {
-                st.during(ts(from), ts(to)).into_iter().map(key).collect()
+                let mut out = Vec::new();
+                for a in ["room", "tag"] {
+                    st.visit_attr_facts::<()>(a, Some((ts(from), ts(to))), |_, f| {
+                        out.push(key(f));
+                        Ok(())
+                    })
+                    .unwrap();
+                }
+                out
             };
             assert_eq!(during(&r), during(&s), "during [{from}, {to})");
         }

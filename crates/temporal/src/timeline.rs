@@ -4,6 +4,13 @@
 //! asserted for one `(entity, attribute)` pair. As-of lookups binary
 //! search the start positions and then scan the (usually tiny) run of
 //! candidates whose intervals could contain the probe instant.
+//!
+//! Most timelines are *disjoint*: each interval ends at or before the
+//! next one starts, as a cardinality-one attribute's are when every
+//! value replaces the last. The store tells a timeline when an insert
+//! may break that ([`Timeline::mark_overlapping`]); until then, lookups
+//! start at the last entry starting at or before the probe, because no
+//! earlier entry can reach past it.
 
 use crate::fact::FactId;
 use fenestra_base::time::Timestamp;
@@ -22,6 +29,9 @@ pub struct TimelineEntry {
 pub struct Timeline {
     /// Entries sorted by `start` (ties broken by insertion order).
     entries: Vec<TimelineEntry>,
+    /// Whether two intervals may overlap (see the module docs). Never
+    /// cleared: a conservative `true` only costs a longer scan.
+    overlapping: bool,
 }
 
 impl Timeline {
@@ -74,21 +84,47 @@ impl Timeline {
         &self.entries
     }
 
-    /// Iterate the fact ids whose validity *could* contain `t`: all
-    /// entries with `start <= t`, newest first. The caller still
-    /// checks `validity.contains(t)` against the arena (intervals may
-    /// have closed before `t`). Newest-first means cardinality-one
-    /// lookups usually test a single fact.
-    pub fn candidates_at(&self, t: Timestamp) -> impl Iterator<Item = FactId> + '_ {
-        let end = self.entries.partition_point(|e| e.start <= t);
-        self.entries[..end].iter().rev().map(|e| e.id)
+    /// Record that an insert may have made two intervals overlap: from
+    /// now on, lookups scan every earlier entry.
+    pub fn mark_overlapping(&mut self) {
+        self.overlapping = true;
     }
 
-    /// Iterate fact ids whose start lies in `[from, to)` plus all that
-    /// started before `from` (and so could overlap the range).
-    pub fn candidates_overlapping(&self, to: Timestamp) -> impl Iterator<Item = FactId> + '_ {
+    /// Whether every interval ends at or before the next one starts
+    /// (as far as the store has told this timeline).
+    pub fn is_disjoint(&self) -> bool {
+        !self.overlapping
+    }
+
+    /// Index of the first entry that can overlap anything at or after
+    /// `from`, among the first `end` entries: `0` unless the timeline
+    /// is disjoint, then the last entry starting at or before `from`.
+    fn first_reaching(&self, from: Timestamp, end: usize) -> usize {
+        if self.overlapping {
+            return 0;
+        }
+        let at_or_before = self.entries.partition_point(|e| e.start <= from);
+        at_or_before.saturating_sub(1).min(end)
+    }
+
+    /// Iterate the fact ids whose validity *could* contain `t`, newest
+    /// first: every entry with `start <= t`, or on a disjoint timeline
+    /// only the newest of them. The caller still checks
+    /// `validity.contains(t)` against the arena (intervals may have
+    /// closed before `t`).
+    pub fn candidates_at(&self, t: Timestamp) -> impl Iterator<Item = FactId> + '_ {
+        let end = self.entries.partition_point(|e| e.start <= t);
+        let begin = self.first_reaching(t, end);
+        self.entries[begin..end].iter().rev().map(|e| e.id)
+    }
+
+    /// The entries whose validity *could* overlap `[from, to)`, in
+    /// start order: those starting before `to`, less, on a disjoint
+    /// timeline, those ending before the last one starting at or
+    /// before `from`.
+    pub fn overlapping(&self, from: Timestamp, to: Timestamp) -> &[TimelineEntry] {
         let end = self.entries.partition_point(|e| e.start < to);
-        self.entries[..end].iter().map(|e| e.id)
+        &self.entries[self.first_reaching(from, end)..end]
     }
 }
 
@@ -124,6 +160,7 @@ mod tests {
     #[test]
     fn candidates_at_is_newest_first_and_bounded() {
         let mut tl = Timeline::new();
+        tl.mark_overlapping();
         tl.insert(ts(1), FactId(0));
         tl.insert(ts(5), FactId(1));
         tl.insert(ts(9), FactId(2));
@@ -145,12 +182,38 @@ mod tests {
     }
 
     #[test]
-    fn candidates_overlapping_excludes_later_starts() {
+    fn overlapping_excludes_later_starts() {
         let mut tl = Timeline::new();
+        tl.mark_overlapping();
         tl.insert(ts(1), FactId(0));
         tl.insert(ts(5), FactId(1));
         tl.insert(ts(9), FactId(2));
-        let c: Vec<u64> = tl.candidates_overlapping(ts(9)).map(|f| f.0).collect();
+        let c: Vec<u64> = tl
+            .overlapping(ts(6), ts(9))
+            .iter()
+            .map(|e| e.id.0)
+            .collect();
         assert_eq!(c, vec![0, 1], "start >= `to` cannot overlap [from, to)");
+    }
+
+    #[test]
+    fn disjoint_lookups_start_at_the_last_start_at_or_before_the_probe() {
+        let mut tl = Timeline::new();
+        for (start, id) in [(1, 0), (5, 1), (5, 2), (9, 3)] {
+            tl.insert(ts(start), FactId(id));
+        }
+        assert!(tl.is_disjoint());
+        let ids = |es: &[TimelineEntry]| es.iter().map(|e| e.id.0).collect::<Vec<_>>();
+        assert_eq!(ids(tl.overlapping(ts(6), ts(20))), vec![2, 3]);
+        assert_eq!(ids(tl.overlapping(ts(5), ts(6))), vec![2]);
+        assert_eq!(ids(tl.overlapping(ts(4), ts(6))), vec![0, 1, 2]);
+        assert_eq!(ids(tl.overlapping(ts(0), ts(6))), vec![0, 1, 2]);
+        assert!(tl.overlapping(ts(0), ts(1)).is_empty());
+        let c: Vec<u64> = tl.candidates_at(ts(7)).map(|f| f.0).collect();
+        assert_eq!(c, vec![2], "only the newest start at or before 7");
+        tl.mark_overlapping();
+        assert_eq!(ids(tl.overlapping(ts(6), ts(20))), vec![0, 1, 2, 3]);
+        let c: Vec<u64> = tl.candidates_at(ts(7)).map(|f| f.0).collect();
+        assert_eq!(c, vec![2, 1, 0]);
     }
 }
