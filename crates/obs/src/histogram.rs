@@ -78,6 +78,25 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
+    /// Fold samples gathered in a plain [`HistogramSnapshot`] into this
+    /// histogram: one `fetch_add` per non-empty bucket and one each on
+    /// the sum and the max. A thread that records many samples in a row
+    /// into a histogram other threads also record into gathers them
+    /// locally and adds them once, so the shared counters change hands
+    /// between cores once per batch rather than once per sample.
+    pub fn add(&self, local: &HistogramSnapshot) {
+        if local.count == 0 {
+            return;
+        }
+        for (b, &n) in self.buckets.iter().zip(&local.buckets) {
+            if n != 0 {
+                b.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.sum.fetch_add(local.sum, Ordering::Relaxed);
+        self.max.fetch_max(local.max, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy of all counters; `count` is the sum of the
     /// buckets read.
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -123,6 +142,15 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Record one observation into this plain copy, as
+    /// [`Histogram::record`] would into a shared one.
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.max = self.max.max(v);
+    }
+
     /// Fold another snapshot into this one. Exact: the result equals a
     /// snapshot of one histogram that saw both sample sets.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
@@ -264,6 +292,22 @@ mod tests {
         assert_eq!(m.sum, 1012);
         assert_eq!(m.max, 1000);
         assert_eq!(m.quantile(1.0), 1000);
+    }
+
+    #[test]
+    fn a_batch_added_equals_its_samples_recorded() {
+        let direct = Histogram::new();
+        let batched = Histogram::new();
+        batched.record(3);
+        direct.record(3);
+        let mut local = HistogramSnapshot::default();
+        for v in [0u64, 1, 9, 9, 700, 1 << 40] {
+            direct.record(v);
+            local.record(v);
+        }
+        batched.add(&local);
+        batched.add(&HistogramSnapshot::default());
+        assert_eq!(batched.snapshot(), direct.snapshot());
     }
 
     #[test]

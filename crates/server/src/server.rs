@@ -37,7 +37,7 @@ use fenestra_base::error::{Error, Result};
 use fenestra_base::record::Event;
 use fenestra_base::time::{Duration, Timestamp};
 use fenestra_core::{Engine, EngineConfig, EngineMetrics, PollPass, ShardRouter, Watch};
-use fenestra_obs::{PipelineObs, PlanObs, ShardObs};
+use fenestra_obs::{HistogramSnapshot, PipelineObs, PlanObs, ShardObs};
 use fenestra_query::{CacheStats, CachedPlan, PlanCache, PlanPart, QueryOptions};
 use fenestra_replica::{
     load_epoch, now_us, serve_follower, store_epoch, AckTracker, FollowerClient, LeaderConfig,
@@ -1461,6 +1461,10 @@ impl ShardCtx {
     /// runs after the burst, in its queue place.
     fn answer(&mut self, plans: &[Arc<CachedPlan>]) -> Vec<Result<PlanPart>> {
         let mut parts = Vec::with_capacity(plans.len());
+        // Every shard records into the one `plan.partial_us`; gathered
+        // here and added once per burst, its counters do not bounce
+        // between the shards' cores on every plan.
+        let mut partial_us = HistogramSnapshot::default();
         for (i, plan) in plans.iter().enumerate() {
             if i > 0 {
                 // A burst keeps this thread busy for many plans in a
@@ -1491,10 +1495,9 @@ impl ShardCtx {
                 plan.physical
                     .partial(&self.engine.store(), QueryOptions::default()),
             );
-            self.plan_obs
-                .partial_us
-                .record(t0.elapsed().as_micros() as u64);
+            partial_us.record(t0.elapsed().as_micros() as u64);
         }
+        self.plan_obs.partial_us.add(&partial_us);
         parts
     }
 
